@@ -318,7 +318,7 @@ def cmd_check(args) -> int:
     opts = _solver_options(args)
     eq = solve(market, opts)
     statics = statics_matrix(eq)
-    fd = finite_difference_check(market, step=args.fd_step, opts=opts)
+    fd = finite_difference_check(eq, statics, step=args.fd_step, opts=opts)
 
     checks = {
         "clearing": eq.distribution.clears(market.population),

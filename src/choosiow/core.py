@@ -14,6 +14,12 @@ Market clearing is equivalent to residual(beta) = 0, which in turn is the
 first-order condition of the strictly convex function
 b -> H(b) - <nu, b> in log-amplitude space b = log(beta).
 
+The Hessian of H is kept in block form, never assembled: its diagonal
+d = grad H + beta^2 and its cross block C = Pi * beta_I beta_J^T.
+Eliminating the larger side leaves the reduced matrix S = D_a - C D_c^-1 C^T
+of order min(I, J) (ReducedHessian), which gives the Newton step and the
+inverse Hessian.
+
 All types here are immutable after construction and all operations are
 pure functions.
 """
@@ -43,10 +49,10 @@ class ScalingError(ValueError):
 
 
 def rel_close(lhs, rhs, tol: float = DEFAULT_REL_TOL) -> bool:
-    """Clearing-check comparison: |lhs - rhs| <= tol * max(1, |rhs|)."""
+    """Clearing-check comparison: |lhs - rhs| <= tol * |rhs|, whatever the units."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    return bool(np.all(np.abs(lhs - rhs) <= tol * np.maximum(1.0, np.abs(rhs))))
+    return bool(np.all(np.abs(lhs - rhs) <= tol * np.abs(rhs)))
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -291,15 +297,8 @@ def objective_E(beta, market: ValidatedMarket) -> float:
     return float(quad - market.population.counts @ np.log(np.abs(b)))
 
 
-def objective_H(b, gains: GainsMatrix) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and Hessian of the convex dual potential H.
-
-    H(b) = 1/2 sum_k e^{2 b_k} + sum_ij Pi_ij e^{b_i + b_{I+j}}.  The
-    gradient at b minus nu equals residual(e^b), and the Hessian factors as
-    diag(beta) * [[D_I, Pi], [Pi^T, D_J]] * diag(beta) with
-    (D_I)_ii = 2 + (sum_j Pi_ij beta_{I+j}) / beta_i (and symmetrically for
-    D_J), hence is symmetric positive definite for every finite b.
-    """
+def _amplitudes(b) -> np.ndarray:
+    """beta = e^b, after checking that b is finite and inside the safe range."""
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise ValueError("log-amplitudes must be finite")
@@ -308,24 +307,98 @@ def objective_H(b, gains: GainsMatrix) -> tuple[float, np.ndarray, np.ndarray]:
             f"log-amplitude magnitude exceeds {LOG_AMPLITUDE_BOUND}; "
             "rescale populations to smaller units"
         )
+    return np.exp(b)
+
+
+def potential_value(b, gains: GainsMatrix) -> float:
+    """H(b) = 1/2 |beta|^2 + beta_I^T Pi beta_J alone, without derivatives."""
+    beta = _amplitudes(b)
     n_men = gains.n_male_types
-    pi = gains.entries
-    beta = np.exp(b)
+    return float(0.5 * (beta @ beta) + beta[:n_men] @ gains.entries @ beta[n_men:])
+
+
+def objective_H(b, gains: GainsMatrix) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Value, gradient and Hessian blocks of the convex dual potential H.
+
+    H(b) = 1/2 sum_k e^{2 b_k} + sum_ij Pi_ij e^{b_i + b_{I+j}}.  The
+    gradient at b minus nu equals residual(e^b).  The Hessian is returned as
+    its diagonal d = grad + beta^2 (length I + J) and its men-by-women cross
+    block C = Pi * beta_I beta_J^T; the full matrix is [[diag(d_I), C],
+    [C^T, diag(d_J)]].  It factors as diag(beta) [[D_I, Pi], [Pi^T, D_J]]
+    diag(beta) with (D_I)_ii = 2 + (sum_j Pi_ij beta_{I+j}) / beta_i (and
+    symmetrically for D_J), hence is symmetric positive definite for every
+    finite b.
+    """
+    beta = _amplitudes(b)
+    n_men = gains.n_male_types
     men, women = beta[:n_men], beta[n_men:]
 
-    cross = pi * np.outer(men, women)  # Pi_ij beta_i beta_{I+j}
+    cross = gains.entries * np.outer(men, women)  # Pi_ij beta_i beta_{I+j}
     value = float(0.5 * np.sum(beta**2) + cross.sum())
 
-    grad = np.empty(b.size)
+    grad = np.empty(beta.size)
     grad[:n_men] = men**2 + cross.sum(axis=1)
     grad[n_men:] = women**2 + cross.sum(axis=0)
+    return value, grad, (grad + beta**2, cross)
 
-    diag_men = 2.0 + (pi @ women) / men
-    diag_women = 2.0 + (pi.T @ men) / women
-    inner = np.zeros((b.size, b.size))
-    inner[:n_men, :n_men] = np.diag(diag_men)
-    inner[n_men:, n_men:] = np.diag(diag_women)
-    inner[:n_men, n_men:] = pi
-    inner[n_men:, :n_men] = pi.T
-    hessian = inner * np.outer(beta, beta)
-    return value, grad, hessian
+
+@dataclass(frozen=True)
+class ReducedHessian:
+    """The Hessian [[diag(d_I), C], [C^T, diag(d_J)]] with its larger side eliminated.
+
+    Side a has min(I, J) types (the men on a tie), side c the rest.  With
+    K = C_ac D_c^-1, the reduced matrix S = D_a - K C_ac^T is symmetric
+    positive definite exactly when the Hessian is, and
+
+        H^-1 = [[S^-1, -S^-1 K], [-K^T S^-1, D_c^-1 + K^T S^-1 K]].
+
+    Vectors and matrices go in and out in [men | women] order.
+    """
+
+    s: np.ndarray  # reduced matrix, order min(I, J)
+    k: np.ndarray  # K = C_ac D_c^-1, shape (n_a, n_c)
+    d_c: np.ndarray  # diagonal of the eliminated side
+    a: slice  # positions of side a in [men | women] order
+    c: slice  # positions of side c
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with H x = rhs, by S x_a = r_a - K r_c and x_c = r_c / d_c - K^T x_a."""
+        r_c = rhs[self.c]
+        x_a = np.linalg.solve(self.s, rhs[self.a] - self.k @ r_c)
+        out = np.empty(rhs.size)
+        out[self.a] = x_a
+        out[self.c] = r_c / self.d_c - self.k.T @ x_a
+        return out
+
+    def inverse(self) -> np.ndarray:
+        """The dense inverse Hessian, (I+J) x (I+J), symmetric."""
+        s_inv = np.linalg.inv(self.s)
+        top = -s_inv @ self.k  # -S^-1 K
+        n = self.d_c.size + s_inv.shape[0]
+        out = np.empty((n, n))
+        out[self.a, self.a] = s_inv
+        out[self.a, self.c] = top
+        out[self.c, self.a] = top.T
+        out[self.c, self.c] = np.diag(1.0 / self.d_c) - self.k.T @ top
+        return 0.5 * (out + out.T)
+
+
+def reduce_hessian(diag: np.ndarray, cross: np.ndarray) -> ReducedHessian:
+    """Eliminate the larger side of the Hessian given as objective_H's blocks.
+
+    Raises numpy.linalg.LinAlgError when S is not finite or not positive
+    definite, i.e. when the Hessian cannot be factored.
+    """
+    n_men, n_women = cross.shape
+    n = n_men + n_women
+    if n_men <= n_women:
+        a, c, c_ac = slice(0, n_men), slice(n_men, n), cross
+    else:
+        a, c, c_ac = slice(n_men, n), slice(0, n_men), cross.T
+    d_c = diag[c]
+    k = c_ac / d_c
+    s = np.diag(diag[a]) - k @ c_ac.T
+    if not np.all(np.isfinite(s)):
+        raise np.linalg.LinAlgError("reduced Hessian is not finite")
+    np.linalg.cholesky(s)  # raises LinAlgError unless S is positive definite
+    return ReducedHessian(s=s, k=k, d_c=d_c, a=a, c=c)

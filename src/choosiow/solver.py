@@ -2,9 +2,11 @@
 
 The equilibrium amplitudes are the unique minimizer of the smooth strictly
 convex function b -> H(b) - <nu, b> over log-amplitudes b.  The Hessian of
-H is available in closed form and is symmetric positive definite, so each
-step is a Cholesky solve followed by Armijo backtracking; strict convexity
-makes the iteration globally convergent.
+H is available in closed form and is symmetric positive definite.  Each
+step solves the Newton system through the reduced matrix S of order
+min(I, J) (core.ReducedHessian), whose Cholesky factorisation checks
+positive definiteness, then backtracks on the value of H alone (Armijo);
+strict convexity makes the iteration globally convergent.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import (
     AmplitudeVector,
@@ -23,6 +24,8 @@ from .core import (
     ValidatedMarket,
     marriage_distribution,
     objective_H,
+    potential_value,
+    reduce_hessian,
     validate_market,
 )
 
@@ -38,7 +41,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    gradient_tolerance: float = 1e-10  # per component, relative to max(1, nu_k)
+    gradient_tolerance: float = 1e-10  # per component, relative to nu_k
     max_iterations: int = 200
     line_search_shrink: float = 0.5
     armijo_constant: float = 1e-4
@@ -94,30 +97,30 @@ def solve(
 ) -> Equilibrium:
     """Find the unique positive equilibrium of a validated market.
 
-    Newton steps use Cholesky solves of the SPD Hessian with Armijo
-    backtracking; the objective decreases monotonically (up to rounding)
-    and the iteration stops once every component of the clearing residual
-    (the gradient, in persons) drops below
-    gradient_tolerance * max(1, nu_k).
+    Newton steps solve the SPD Hessian system through its reduced matrix,
+    with Armijo backtracking on the objective value; the objective
+    decreases monotonically (up to rounding) and the iteration stops once
+    every component of the clearing residual (the gradient, in persons)
+    drops below gradient_tolerance * nu_k, a test that does not depend on
+    the units of nu.
     """
     nu = market.population.counts
     b = initial_guess(market.population) if start is None else np.array(start, dtype=float)
     # Componentwise criterion in the clearing metric; implies
-    # ||grad|| <= gradient_tolerance * ||nu|| whenever all nu_k >= 1.
-    tol_per_component = opts.gradient_tolerance * np.maximum(1.0, nu)
+    # ||grad|| <= gradient_tolerance * ||nu||.
+    tol_per_component = opts.gradient_tolerance * nu
     # Near the minimum the objective comparison is noise limited; allow the
     # line search to accept steps within rounding error of the current value.
     noise_floor = lambda value: 4.0 * np.finfo(float).eps * abs(value)
 
     def eval_objective(b_trial: np.ndarray) -> float:
         try:
-            value, _, _ = objective_H(b_trial, market.gains)
+            return potential_value(b_trial, market.gains) - nu @ b_trial
         except ScalingError:
             return float("inf")
-        return value - nu @ b_trial
 
-    value, grad, hess = objective_H(b, market.gains)
-    obj = value - nu @ b
+    obj = potential_value(b, market.gains) - nu @ b
+    _, grad, hess = objective_H(b, market.gains)
     grad = grad - nu
     trace = [obj]
     iterations = 0
@@ -127,14 +130,13 @@ def solve(
             iterations -= 1
             break
         try:
-            factor = cho_factor(hess)
+            step = reduce_hessian(*hess).solve(-grad)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"Hessian factorization failed at iteration {iterations}",
                 b,
                 float(np.linalg.norm(grad)),
             ) from exc
-        step = cho_solve(factor, -grad)
         cap = np.max(np.abs(step))
         if cap > opts.step_cap:
             step *= opts.step_cap / cap
@@ -153,9 +155,8 @@ def solve(
                     b,
                     float(np.linalg.norm(grad)),
                 )
-        b = b + t * step
-        value, grad, hess = objective_H(b, market.gains)
-        obj = value - nu @ b
+        b, obj = trial, trial_obj
+        _, grad, hess = objective_H(b, market.gains)
         grad = grad - nu
         trace.append(obj)
     else:

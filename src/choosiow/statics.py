@@ -4,12 +4,15 @@ Everything here flows from the substitution matrix
 
     r_kl = (1 / beta_k^2) d(beta_k^2)/d(nu_l) = 2 * (D^2 H)^{-1}_kl,
 
-evaluated at the equilibrium log-amplitudes.  R is symmetric positive
-definite; with a gains matrix that has no vanishing row or column it also
-has a strict sign pattern (same-sex entries positive, cross-sex entries
+evaluated at the equilibrium log-amplitudes.  R is built block by block
+from the reduced matrix S of order min(I, J) (core.ReducedHessian); the
+(I+J)^2 Hessian is never assembled.  R is symmetric positive definite;
+with a gains matrix that has no vanishing row or column it also has a
+strict sign pattern (same-sex entries positive, cross-sex entries
 negative) and a spectral certificate lambda_max < 1 for the associated
-non-negative operator.  All derivatives can be cross-checked against a
-brute-force re-solve oracle (finite_difference_check).
+non-negative operator, computed by eigvalsh on the smaller side.  All
+derivatives can be cross-checked against a brute-force re-solve oracle
+(finite_difference_check).
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .core import GainsMatrix, PopulationVector, ValidatedMarket, objective_H, validate_market
+from .core import GainsMatrix, PopulationVector, objective_H, reduce_hessian, validate_market
 from .solver import Equilibrium, SolverOptions, solve
 
 _STRICTNESS_SLACK = 1e-12
@@ -118,11 +120,9 @@ def statics_matrix(eq: Equilibrium) -> StaticsReport:
     """Compute the substitution matrix R = 2 (D^2 H)^{-1} and companions."""
     _, _, hess = objective_H(eq.log_beta, eq.market.gains)
     try:
-        factor = cho_factor(hess)
+        r = 2.0 * reduce_hessian(*hess).inverse()
     except np.linalg.LinAlgError as exc:
         raise ValueError("equilibrium Hessian is not positive definite") from exc
-    r = 2.0 * cho_solve(factor, np.eye(hess.shape[0]))
-    r = 0.5 * (r + r.T)  # Cholesky inverse is symmetric up to roundoff
 
     beta = eq.beta
     nu = eq.market.population.counts
@@ -297,44 +297,23 @@ def participation_analysis(eq: Equilibrium, report: StaticsReport) -> Participat
     )
 
 
-def spectral_diagnostic(
-    eq: Equilibrium, tol: float = 1e-10, max_iterations: int = 10_000
-) -> tuple[float, bool]:
+def spectral_diagnostic(eq: Equilibrium) -> tuple[float, bool]:
     """Perron root of the non-negative operator certifying the sign pattern.
 
-    Builds A = D_I^{-1} Pi D_J^{-1} Pi^T with diagonal entries
-    1 + nu_k / beta_k^2 and returns its largest eigenvalue by power
-    iteration; the certified bound is lambda_max < 1.
+    A = D_I^{-1} Pi D_J^{-1} Pi^T with diagonal entries d_k = 1 + nu_k / beta_k^2.
+    Its non-zero spectrum equals that of the partner product on the other
+    side, so the largest eigenvalue is taken by eigvalsh of the symmetric
+    form D_a^{-1/2} Pi_ac D_c^{-1} Pi_ac^T D_a^{-1/2} on the side a with
+    fewer types; the certified bound is lambda_max < 1.
     """
     market = eq.market
     n_men = market.n_male_types
-    beta_sq = eq.beta**2
-    nu = market.population.counts
-    d_men = 1.0 + nu[:n_men] / beta_sq[:n_men]
-    d_women = 1.0 + nu[n_men:] / beta_sq[n_men:]
-    pi = market.gains.entries
-    # Similarity transform by D_I^{1/2} makes the iteration matrix symmetric
-    # PSD with the same spectrum, so the Rayleigh quotient is monotone.
-    scale = 1.0 / np.sqrt(d_men)
-    sym = (scale[:, None] * pi) @ ((pi / d_women[None, :]).T) * scale[None, :]
-
-    if not np.any(sym):
-        return 0.0, True
-    v = np.ones(n_men) / np.sqrt(n_men)
-    lam = float(v @ sym @ v)
-    for _ in range(max_iterations):
-        w = sym @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, True
-        v = w / norm
-        new_lam = float(v @ sym @ v)
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    else:
-        raise RuntimeError(f"power iteration did not converge in {max_iterations} iterations")
+    d = 1.0 + market.population.counts / eq.beta**2
+    pi, d_a, d_c = market.gains.entries, d[:n_men], d[n_men:]
+    if n_men > market.n_female_types:
+        pi, d_a, d_c = pi.T, d_c, d_a
+    scaled = pi / np.sqrt(d_a)[:, None] / np.sqrt(d_c)[None, :]
+    lam = float(np.linalg.eigvalsh(scaled @ scaled.T)[-1])
     return lam, lam < 1.0
 
 
@@ -368,19 +347,20 @@ def _rel_error(fd: np.ndarray, analytic: np.ndarray) -> float:
 
 
 def finite_difference_check(
-    market: ValidatedMarket,
+    eq: Equilibrium,
+    report: StaticsReport,
     step: float = 1e-5,
     opts: SolverOptions = SolverOptions(),
 ) -> FiniteDifferenceReport:
     """Independent oracle: central differences of re-solved equilibria.
 
-    Re-solves the market at nu_k (1 +/- step) for every k and at
+    Takes a solved market and its statics_matrix report, re-solves the
+    market (warm-started at eq) at nu_k (1 +/- step) for every k and at
     Pi_ij +/- step (1 + Pi_ij) for every (i, j), then compares the central
     differences of beta^2, log mu, the transfer index, and the
     participation rate against the analytic values.
     """
-    eq = solve(market, opts)
-    report = statics_matrix(eq)
+    market = eq.market
     gains = gains_sensitivity(eq, report)
     elasticity = marriage_elasticity(eq, report)
     transfers = transfer_analysis(eq, report)

@@ -17,6 +17,16 @@ def make_market(gains, populations) -> ValidatedMarket:
     )
 
 
+def dense_hessian(blocks) -> np.ndarray:
+    """Assemble [[diag(d_I), C], [C^T, diag(d_J)]] from objective_H's Hessian blocks."""
+    diag, cross = blocks
+    n_men = cross.shape[0]
+    hess = np.diag(diag)
+    hess[:n_men, n_men:] = cross
+    hess[n_men:, :n_men] = cross.T
+    return hess
+
+
 def random_market(
     rng: np.random.Generator,
     max_types: int = 12,

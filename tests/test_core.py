@@ -13,9 +13,11 @@ from choosiow import (
     objective_E,
     objective_H,
     residual,
+    solve,
     validate_market,
 )
-from conftest import make_market
+from choosiow.core import reduce_hessian
+from conftest import dense_hessian, make_market
 
 
 class TestValidateMarket:
@@ -116,13 +118,13 @@ class TestObjectiveH:
     def test_hessian_at_symmetric_solution(self):
         gains = GainsMatrix([[1.0]])
         b = np.full(2, 0.5 * math.log(50.0))
-        _, _, hess = objective_H(b, gains)
+        hess = dense_hessian(objective_H(b, gains)[2])
         np.testing.assert_allclose(hess, [[150.0, 50.0], [50.0, 150.0]])
 
     def test_zero_gains_decoupled(self):
         gains = GainsMatrix(np.zeros((2, 2)))
         b = np.array([0.1, -0.3, 0.7, 0.0])
-        _, _, hess = objective_H(b, gains)
+        hess = dense_hessian(objective_H(b, gains)[2])
         np.testing.assert_allclose(hess, np.diag(2.0 * np.exp(2.0 * b)))
 
     def test_value_and_gradient_at_origin(self):
@@ -172,14 +174,15 @@ class TestCoreIdentities:
         rng = np.random.default_rng(9)
         for _ in range(25):
             market, b = self._random_case(rng)
-            _, _, hess = objective_H(b, market.gains)
+            hess = dense_hessian(objective_H(b, market.gains)[2])
             np.testing.assert_allclose(hess, hess.T, rtol=1e-12)
             np.linalg.cholesky(hess)  # raises if not positive definite
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         market, b = self._random_case(rng)
-        _, grad, hess = objective_H(b, market.gains)
+        _, grad, blocks = objective_H(b, market.gains)
+        hess = dense_hessian(blocks)
         h = 1e-6
         for k in range(b.size):
             e = np.zeros_like(b)
@@ -190,6 +193,45 @@ class TestCoreIdentities:
             assert fd_grad == pytest.approx(grad[k], rel=1e-6)
             fd_hess_col = (g_hi - g_lo) / (2 * h)
             np.testing.assert_allclose(fd_hess_col, hess[:, k], rtol=1e-5)
+
+
+class TestReducedHessian:
+    """The min(I, J)-order reduced system against the assembled Hessian."""
+
+    SHAPES = ((1, 1), (3, 3), (2, 5), (5, 2), (4, 9), (9, 4))
+
+    def _cases(self, rng):
+        for n_men, n_women in self.SHAPES:
+            market = make_market(
+                rng.uniform(0, 5, size=(n_men, n_women)),
+                np.exp(rng.uniform(0, np.log(1e6), size=n_men + n_women)),
+            )
+            yield market, rng.uniform(-2, 4, size=market.size)
+            yield market, solve(market).log_beta
+
+    def test_newton_step_matches_dense_solve(self):
+        rng = np.random.default_rng(11)
+        for market, b in self._cases(rng):
+            _, grad, blocks = objective_H(b, market.gains)
+            rhs = market.population.counts - grad
+            step = reduce_hessian(*blocks).solve(rhs)
+            dense = np.linalg.solve(dense_hessian(blocks), rhs)
+            np.testing.assert_allclose(step, dense, rtol=0, atol=1e-12 * np.max(np.abs(dense)))
+
+    def test_inverse_matches_dense_inverse(self):
+        rng = np.random.default_rng(12)
+        for market, b in self._cases(rng):
+            blocks = objective_H(b, market.gains)[2]
+            inverse = reduce_hessian(*blocks).inverse()
+            dense = np.linalg.inv(dense_hessian(blocks))
+            np.testing.assert_allclose(
+                inverse, dense, rtol=0, atol=1e-12 * np.max(np.abs(dense))
+            )
+
+    def test_indefinite_raises(self):
+        # diag(1, 1) with cross entry 2 is indefinite: S = 1 - 4 < 0.
+        with pytest.raises(np.linalg.LinAlgError):
+            reduce_hessian(np.array([1.0, 1.0]), np.array([[2.0]]))
 
 
 class TestTypes:

@@ -9,6 +9,7 @@ from choosiow import (
     PopulationVector,
     SolverOptions,
     initial_guess,
+    marriage_distribution,
     objective_H,
     reduce_unpopulated,
     solve,
@@ -112,6 +113,33 @@ class TestSolve:
                 value, _, _ = objective_H(b, market.gains)
                 candidate = nu @ b - value
                 assert candidate <= best + 1e-8 * (1.0 + abs(best))
+
+    def test_small_units_clear(self):
+        # A tolerance floored at 1 person accepted the starting point here,
+        # beta = sqrt(nu), whose row and column totals are 2e-12.
+        market = make_market([[1.0]], [1e-12, 1e-12])
+        start = marriage_distribution(np.sqrt(market.population.counts), market.gains)
+        assert not start.clears(market.population)
+        eq = solve(market)
+        assert eq.iterations > 0
+        np.testing.assert_allclose(eq.distribution.row_totals(), [1e-12], rtol=1e-9)
+        np.testing.assert_allclose(eq.distribution.column_totals(), [1e-12], rtol=1e-9)
+        assert eq.distribution.clears(market.population)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-4, 1e4, 1e12])
+    def test_scale_equivariance(self, c):
+        # mu(c nu) = c mu(nu): the solution does not depend on the units of nu.
+        rng = np.random.default_rng(17)
+        gains = rng.uniform(0.0, 5.0, size=(4, 3))
+        nu = np.exp(rng.uniform(0.0, np.log(1e6), size=7))
+        base = solve(make_market(gains, nu)).distribution
+        scaled = solve(make_market(gains, c * nu)).distribution
+        for got, want in (
+            (scaled.married, base.married),
+            (scaled.single_men, base.single_men),
+            (scaled.single_women, base.single_women),
+        ):
+            np.testing.assert_allclose(got, c * want, rtol=1e-12)
 
     def test_nonconvergence_reported(self, symmetric_1x1):
         with pytest.raises(ConvergenceError) as info:

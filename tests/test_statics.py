@@ -8,6 +8,7 @@ from choosiow import (
     finite_difference_check,
     gains_sensitivity,
     marriage_elasticity,
+    objective_H,
     participation_analysis,
     solve,
     spectral_diagnostic,
@@ -16,7 +17,7 @@ from choosiow import (
     verify_sign_pattern,
 )
 from choosiow.statics import SignCheckResult, _sign_check
-from conftest import make_market, random_market
+from conftest import dense_hessian, make_market, random_market
 
 # Hand-inverted 2x2 from the symmetric 1x1 fixture: D^2 H = [[150,50],[50,150]].
 R_SYMMETRIC = np.array([[0.015, -0.005], [-0.005, 0.015]])
@@ -36,15 +37,27 @@ class TestStaticsMatrix:
 
     def test_inverse_definition(self):
         rng = np.random.default_rng(20)
-        from choosiow import objective_H
-
         for _ in range(5):
             market = random_market(rng, max_types=6)
             eq = solve(market)
             report = statics_matrix(eq)
-            _, _, hess = objective_H(eq.log_beta, market.gains)
+            hess = dense_hessian(objective_H(eq.log_beta, market.gains)[2])
             np.testing.assert_allclose(
                 report.r_matrix @ hess / 2.0, np.eye(market.size), atol=1e-9
+            )
+
+    def test_matches_dense_inverse(self):
+        # R from the reduced matrix against twice the inverse of the assembled
+        # Hessian, with the smaller side first, last, on a tie, and 1 x 1.
+        rng = np.random.default_rng(29)
+        for shape in ((1, 1), (4, 4), (3, 8), (8, 3)):
+            market = make_market(
+                rng.uniform(0, 5, size=shape), np.exp(rng.uniform(0, 10, size=sum(shape)))
+            )
+            eq = solve(market)
+            dense = 2.0 * np.linalg.inv(dense_hessian(objective_H(eq.log_beta, market.gains)[2]))
+            np.testing.assert_allclose(
+                statics_matrix(eq).r_matrix, dense, rtol=0, atol=1e-12 * np.max(np.abs(dense))
             )
 
     def test_symmetric_and_spd_randomized(self):
@@ -275,12 +288,14 @@ class TestConjectureProbe:
 
 class TestFiniteDifferenceCheck:
     def test_symmetric_fixture(self, symmetric_1x1):
-        report = finite_difference_check(symmetric_1x1, step=1e-5)
+        eq = solve(symmetric_1x1)
+        report = finite_difference_check(eq, statics_matrix(eq), step=1e-5)
         assert report.max_error < 1e-4
 
     def test_zero_gains_diagonal(self):
         market = make_market(np.zeros((2, 1)), [4.0, 9.0, 16.0])
-        report = finite_difference_check(market, step=1e-5)
+        eq = solve(market)
+        report = finite_difference_check(eq, statics_matrix(eq), step=1e-5)
         # d beta_k / d nu_k = 1 / (2 sqrt(nu_k)); substitution errors tiny
         assert report.substitution_error < 1e-6
 
@@ -291,7 +306,8 @@ class TestFiniteDifferenceCheck:
             rng.uniform(0.1, 3.0, size=(n_men, n_women)),
             np.exp(rng.uniform(0, 6, size=n_men + n_women)),
         )
-        report = finite_difference_check(market, step=1e-5)
+        eq = solve(market)
+        report = finite_difference_check(eq, statics_matrix(eq), step=1e-5)
         assert report.max_error < 1e-3
 
 
