@@ -3,16 +3,13 @@
 __version__ = "0.1.0"
 
 from .core import (
-    AmplitudeVector,
     GainsMatrix,
     MaritalDistribution,
     PopulationVector,
     ScalingError,
     ValidatedMarket,
     marriage_distribution,
-    objective_E,
     objective_H,
-    residual,
     validate_market,
 )
 from .solver import (
@@ -28,7 +25,6 @@ from .statics import (
     FiniteDifferenceReport,
     StaticsReport,
     TransferReport,
-    conjecture_probe,
     finite_difference_check,
     gains_sensitivity,
     marriage_elasticity,
@@ -36,7 +32,6 @@ from .statics import (
     spectral_diagnostic,
     statics_matrix,
     transfer_analysis,
-    verify_sign_pattern,
 )
 from .choice import (
     ChoiceModel,
@@ -49,7 +44,6 @@ from .choice import (
 )
 
 __all__ = [
-    "AmplitudeVector",
     "ChoiceModel",
     "ConvergenceError",
     "Equilibrium",
@@ -65,7 +59,6 @@ __all__ = [
     "TransferReport",
     "ValidatedMarket",
     "choice_probabilities",
-    "conjecture_probe",
     "equilibrium_consistency",
     "finite_difference_check",
     "gains_sensitivity",
@@ -73,11 +66,9 @@ __all__ = [
     "initial_guess",
     "marriage_distribution",
     "marriage_elasticity",
-    "objective_E",
     "objective_H",
     "participation_analysis",
     "reduce_unpopulated",
-    "residual",
     "sigma_limit",
     "simulate_choices",
     "solve",
@@ -85,5 +76,4 @@ __all__ = [
     "statics_matrix",
     "transfer_analysis",
     "validate_market",
-    "verify_sign_pattern",
 ]

@@ -41,13 +41,10 @@ class ChoiceModel:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Empirical choice frequencies plus noise-sample statistics."""
+    """Empirical choice frequencies of a simulated sample."""
 
     frequencies: np.ndarray
     sample_count: int
-    sample_mean: float
-    sample_variance: float
-    seed: int | None = None
 
     def __post_init__(self):
         freq = np.asarray(self.frequencies, dtype=float)
@@ -87,24 +84,15 @@ def sigma_limit(model: ChoiceModel) -> np.ndarray:
     return winners / winners.sum()
 
 
-def simulate_choices(
-    model: ChoiceModel,
-    n: int,
-    rng: np.random.Generator,
-    seed: int | None = None,
-) -> SimulationResult:
+def simulate_choices(model: ChoiceModel, n: int, rng: np.random.Generator) -> SimulationResult:
     """Simulate n agents with independent Gumbel perturbations per alternative.
 
     Ties are broken toward the lowest index, a probability-zero event under
-    continuous noise.  The seed argument is recorded for reproducibility
-    only; the draws come from the supplied generator.
+    continuous noise.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
     counts = np.zeros(model.n_alternatives, dtype=np.int64)
-    total = 0
-    mean = 0.0
-    m2 = 0.0
     # Chunked so that n = 1e7 does not allocate n x (J+1) at once.
     chunk = max(1, min(n, 1_000_000 // max(1, model.n_alternatives)))
     remaining = n
@@ -113,23 +101,8 @@ def simulate_choices(
         noise = gumbel_sample(rng, (take, model.n_alternatives))
         picks = np.argmax(model.systematic_utilities + model.sigma * noise, axis=1)
         counts += np.bincount(picks, minlength=model.n_alternatives)
-        flat = noise.ravel()
-        # Chan et al. pairwise update keeps mean/variance in one pass.
-        c_mean = flat.mean()
-        c_m2 = ((flat - c_mean) ** 2).sum()
-        delta = c_mean - mean
-        new_total = total + flat.size
-        mean += delta * flat.size / new_total
-        m2 += c_m2 + delta**2 * total * flat.size / new_total
-        total = new_total
         remaining -= take
-    return SimulationResult(
-        frequencies=counts / n,
-        sample_count=n,
-        sample_mean=float(mean),
-        sample_variance=float(m2 / total),
-        seed=seed,
-    )
+    return SimulationResult(frequencies=counts / n, sample_count=n)
 
 
 @dataclass(frozen=True)
@@ -139,7 +112,6 @@ class ConsistencyRecord:
     male_divergence: np.ndarray  # length I, max abs deviation per male type
     female_divergence: np.ndarray  # length J
     sample_count: int
-    seed: int | None = None
 
     @property
     def max_divergence(self) -> float:
@@ -162,10 +134,7 @@ def _type_divergence(
 
 
 def equilibrium_consistency(
-    eq: Equilibrium,
-    n_per_type: int,
-    rng: np.random.Generator,
-    seed: int | None = None,
+    eq: Equilibrium, n_per_type: int, rng: np.random.Generator
 ) -> ConsistencyRecord:
     """Monte Carlo check that simulated agents reproduce the solved market.
 
@@ -189,5 +158,4 @@ def equilibrium_consistency(
         male_divergence=male_div,
         female_divergence=female_div,
         sample_count=n_per_type,
-        seed=seed,
     )

@@ -39,17 +39,10 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_CHECK_FAILED = 3
 
 
-def _listify(array) -> object:
-    """numpy -> plain JSON values; NaN becomes null."""
-    if isinstance(array, np.ndarray):
-        return _listify(array.tolist())
-    if isinstance(array, list):
-        return [_listify(item) for item in array]
-    if isinstance(array, float) and not np.isfinite(array):
-        return None
-    if isinstance(array, (np.floating, np.integer)):
-        return array.item()
-    return array
+def _listify(array) -> list:
+    """A float array as nested lists for JSON; NaN and inf become null."""
+    array = np.asarray(array, dtype=float)
+    return np.where(np.isfinite(array), array, None).tolist()
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
@@ -99,19 +92,25 @@ def _input_block(mf: MarketFile) -> dict:
     return block
 
 
-def _equilibrium_block(eq: Equilibrium, index_map: IndexMap) -> dict:
+def _embedded(eq: Equilibrium, index_map: IndexMap) -> dict:
+    """The equilibrium arrays over all declared types; dropped types get NaN amplitudes."""
     dist = index_map.embed_distribution(eq.distribution)
-    beta = index_map.embed_amplitudes(eq.beta)
-    block = {
-        "beta": _listify(beta),
-        "log_beta": _listify(index_map.embed_amplitudes(eq.log_beta)),
-        "mu": _listify(dist.married),
-        "single_men": _listify(dist.single_men),
-        "single_women": _listify(dist.single_women),
-        "residual_norm": eq.residual_norm,
-        "iterations": eq.iterations,
-        "objective_value": eq.objective_value,
+    return {
+        "beta": index_map.embed_amplitudes(eq.beta),
+        "log_beta": index_map.embed_amplitudes(eq.log_beta),
+        "mu": dist.married,
+        "single_men": dist.single_men,
+        "single_women": dist.single_women,
     }
+
+
+def _equilibrium_block(eq: Equilibrium, index_map: IndexMap) -> dict:
+    block = {key: _listify(value) for key, value in _embedded(eq, index_map).items()}
+    block.update(
+        residual_norm=eq.residual_norm,
+        iterations=eq.iterations,
+        objective_value=eq.objective_value,
+    )
     if not index_map.identity:
         block["note"] = (
             "zero-population types were dropped before solving and re-embedded "
@@ -120,7 +119,7 @@ def _equilibrium_block(eq: Equilibrium, index_map: IndexMap) -> dict:
     return block
 
 
-def _statics_blocks(eq: Equilibrium, report: StaticsReport, mf: MarketFile) -> dict:
+def _statics_blocks(eq: Equilibrium, report: StaticsReport) -> dict:
     participation = participation_analysis(eq, report)
     sensitivity = gains_sensitivity(eq, report)
     return {
@@ -194,33 +193,16 @@ def _solve_market(mf: MarketFile, args) -> tuple[Equilibrium, IndexMap]:
     return solve(market, _solver_options(args)), index_map
 
 
-def cmd_solve(args) -> int:
+def cmd_report(args) -> int:
+    """solve, statics and transfers: the equilibrium plus the command's own block."""
     mf = _load_market(args)
     eq, index_map = _solve_market(mf, args)
     report = _base_report(mf, args)
     report["equilibrium"] = _equilibrium_block(eq, index_map)
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_statics(args) -> int:
-    mf = _load_market(args)
-    eq, index_map = _solve_market(mf, args)
-    statics = statics_matrix(eq)
-    report = _base_report(mf, args)
-    report["equilibrium"] = _equilibrium_block(eq, index_map)
-    report["statics"] = _statics_blocks(eq, statics, mf)
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_transfers(args) -> int:
-    mf = _load_market(args)
-    eq, index_map = _solve_market(mf, args)
-    statics = statics_matrix(eq)
-    report = _base_report(mf, args)
-    report["equilibrium"] = _equilibrium_block(eq, index_map)
-    report["transfers"] = _transfer_block(eq, statics, mf)
+    if args.command == "statics":
+        report["statics"] = _statics_blocks(eq, statics_matrix(eq))
+    elif args.command == "transfers":
+        report["transfers"] = _transfer_block(eq, statics_matrix(eq), mf)
     _emit(report, args)
     return EXIT_OK
 
@@ -267,27 +249,19 @@ def cmd_whatif(args) -> int:
         populations=populations,
         c_matrix=mf.c_matrix,
     )
-    base_eq, base_map = _solve_market(mf, args)
-    shocked_eq, shocked_map = _solve_market(shocked_mf, args)
-    baseline = _equilibrium_block(base_eq, base_map)
-    shocked = _equilibrium_block(shocked_eq, shocked_map)
-
-    def diff(a, b):
-        if isinstance(a, list):
-            return [diff(x, y) for x, y in zip(a, b)]
-        if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-            return b - a
-        return None
-
+    base = _solve_market(mf, args)
+    shocked = _solve_market(shocked_mf, args)
     report = _base_report(
         mf,
         args,
         {"shock_nu": args.shock_nu or [], "shock_pi": args.shock_pi or []},
     )
-    report["baseline"] = baseline
-    report["shocked"] = shocked
+    report["baseline"] = _equilibrium_block(*base)
+    report["shocked"] = _equilibrium_block(*shocked)
+    # NaN (a type unpopulated on either side) stays NaN and is written as null.
+    before, after = _embedded(*base), _embedded(*shocked)
     report["delta"] = {
-        key: diff(baseline[key], shocked[key])
+        key: _listify(after[key] - before[key])
         for key in ("beta", "mu", "single_men", "single_women")
     }
     _emit(report, args)
@@ -298,7 +272,7 @@ def cmd_simulate(args) -> int:
     mf = _load_market(args)
     eq, index_map = _solve_market(mf, args)
     rng = np.random.default_rng(args.seed)
-    record = equilibrium_consistency(eq, args.samples, rng, seed=args.seed)
+    record = equilibrium_consistency(eq, args.samples, rng)
     report = _base_report(mf, args, {"seed": args.seed, "samples": args.samples})
     report["equilibrium"] = _equilibrium_block(eq, index_map)
     report["simulation"] = {
@@ -306,7 +280,7 @@ def cmd_simulate(args) -> int:
         "female_divergence": _listify(record.female_divergence),
         "max_divergence": record.max_divergence,
         "sample_count": record.sample_count,
-        "seed": record.seed,
+        "seed": args.seed,
     }
     _emit(report, args)
     return EXIT_OK
@@ -314,14 +288,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     mf = _load_market(args)
-    market, index_map = mf.to_market()
-    opts = _solver_options(args)
-    eq = solve(market, opts)
+    eq, index_map = _solve_market(mf, args)
     statics = statics_matrix(eq)
-    fd = finite_difference_check(eq, statics, step=args.fd_step, opts=opts)
+    fd = finite_difference_check(eq, statics, step=args.fd_step, opts=_solver_options(args))
 
     checks = {
-        "clearing": eq.distribution.clears(market.population),
+        "clearing": eq.distribution.clears(eq.market.population),
         "sign_pattern": statics.sign_check.passed,
         "spectral": statics.spectral_pass,
         "finite_difference": fd.max_error <= args.fd_tolerance,
@@ -386,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, handler, helptext in (
-        ("solve", cmd_solve, "compute the equilibrium marriage distribution"),
-        ("statics", cmd_statics, "equilibrium plus substitution matrix and sensitivities"),
-        ("transfers", cmd_transfers, "transfer index and derivatives (tau needs a [c] block)"),
+        ("solve", cmd_report, "compute the equilibrium marriage distribution"),
+        ("statics", cmd_report, "equilibrium plus substitution matrix and sensitivities"),
+        ("transfers", cmd_report, "transfer index and derivatives (tau needs a [c] block)"),
         ("whatif", cmd_whatif, "re-solve under population or gains shocks"),
         ("simulate", cmd_simulate, "Monte Carlo consistency check of the choice model"),
         ("check", cmd_check, "run the full invariant suite; nonzero exit on failure"),

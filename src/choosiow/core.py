@@ -10,9 +10,9 @@ marital distribution follows from
     mu_i0  = beta_i ** 2,
     mu_0j  = beta_{I+j} ** 2.
 
-Market clearing is equivalent to residual(beta) = 0, which in turn is the
-first-order condition of the strictly convex function
-b -> H(b) - <nu, b> in log-amplitude space b = log(beta).
+Market clearing is the first-order condition grad H(b) = nu of the
+strictly convex function b -> H(b) - <nu, b> in log-amplitude space
+b = log(beta).
 
 The Hessian of H is kept in block form, never assembled: its diagonal
 d = grad H + beta^2 and its cross block C = Pi * beta_I beta_J^T.
@@ -27,7 +27,6 @@ pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -120,39 +119,6 @@ class PopulationVector:
 
 
 @dataclass(frozen=True)
-class AmplitudeVector:
-    """Amplitudes beta_k = sqrt(singles of type k) and their logs b_k."""
-
-    beta: np.ndarray
-    log_beta: np.ndarray
-
-    def __post_init__(self):
-        beta = _frozen_array(self.beta, "beta")
-        log_beta = _frozen_array(self.log_beta, "log_beta")
-        if beta.shape != log_beta.shape or beta.ndim != 1:
-            raise ValueError("beta and log_beta must be 1-D vectors of equal length")
-        if np.any(beta <= 0):
-            raise ValueError("amplitudes must be strictly positive")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "log_beta", log_beta)
-
-    @classmethod
-    def from_beta(cls, beta) -> "AmplitudeVector":
-        beta = np.asarray(beta, dtype=float)
-        if np.any(beta <= 0):
-            raise ValueError("amplitudes must be strictly positive")
-        return cls(beta=beta, log_beta=np.log(beta))
-
-    @classmethod
-    def from_log(cls, b) -> "AmplitudeVector":
-        b = np.asarray(b, dtype=float)
-        return cls(beta=np.exp(b), log_beta=b)
-
-    def __len__(self) -> int:
-        return self.beta.size
-
-
-@dataclass(frozen=True)
 class MaritalDistribution:
     """Marriages mu_ij plus singles mu_i0 (men) and mu_0j (women)."""
 
@@ -192,11 +158,30 @@ class MaritalDistribution:
 
 @dataclass(frozen=True)
 class ValidatedMarket:
-    """Dimension-checked (gains, population) bundle plus degeneracy flags."""
+    """Dimension-checked (gains, population) bundle plus degeneracy flags.
+
+    All-zero rows or columns of the gains matrix are flagged, not rejected:
+    the equilibrium still exists and is unique, but the strict sign results
+    of the substitution matrix degrade to weak inequalities.
+    """
 
     gains: GainsMatrix
     population: PopulationVector
-    flags: tuple[str, ...] = ()
+    flags: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        if len(self.population) != self.size:
+            raise ValueError(
+                f"population has {len(self.population)} entries, expected "
+                f"{self.n_male_types} + {self.n_female_types} = {self.size}"
+            )
+        nonzero = self.gains.entries != 0
+        flags = tuple(
+            f"{side} {k + 1} of the gains matrix is zero"
+            for side, axis in (("row", 1), ("column", 0))
+            for k in np.flatnonzero(~nonzero.any(axis))
+        )
+        object.__setattr__(self, "flags", flags)
 
     @property
     def n_male_types(self) -> int:
@@ -225,76 +210,20 @@ class ValidatedMarket:
 
 
 def validate_market(gains: GainsMatrix, population: PopulationVector) -> ValidatedMarket:
-    """Bundle gains and population after checking dimensional consistency.
-
-    All-zero rows or columns of the gains matrix are flagged, not rejected:
-    the equilibrium still exists and is unique, but the strict sign results
-    of the substitution matrix degrade to weak inequalities.
-    """
-    expected = gains.n_male_types + gains.n_female_types
-    if len(population) != expected:
-        raise ValueError(
-            f"population has {len(population)} entries, expected "
-            f"{gains.n_male_types} + {gains.n_female_types} = {expected}"
-        )
-    flags = []
-    for i in range(gains.n_male_types):
-        if np.all(gains.entries[i] == 0):
-            flags.append(f"row {i + 1} of the gains matrix is zero")
-    for j in range(gains.n_female_types):
-        if np.all(gains.entries[:, j] == 0):
-            flags.append(f"column {j + 1} of the gains matrix is zero")
-    return ValidatedMarket(gains=gains, population=population, flags=tuple(flags))
-
-
-def _beta_of(beta) -> np.ndarray:
-    if isinstance(beta, AmplitudeVector):
-        return beta.beta
-    return np.asarray(beta, dtype=float)
-
-
-def residual(beta, market: ValidatedMarket) -> np.ndarray:
-    """Market-clearing residual of the quadratic amplitude system.
-
-    Component k is beta_k^2 + beta_k * sum_(opposite l) Pi * beta_l - nu_k;
-    the zero vector exactly at the equilibrium amplitudes.
-    """
-    b = _beta_of(beta)
-    n_men = market.n_male_types
-    pi = market.gains.entries
-    men, women = b[:n_men], b[n_men:]
-    out = np.empty(market.size)
-    out[:n_men] = men**2 + men * (pi @ women) - market.men
-    out[n_men:] = women**2 + women * (pi.T @ men) - market.women
-    return out
+    """Bundle gains and population; ValidatedMarket does the checking."""
+    return ValidatedMarket(gains, population)
 
 
 def marriage_distribution(beta, gains: GainsMatrix) -> MaritalDistribution:
     """Recover the full marital distribution from positive amplitudes."""
-    b = _beta_of(beta)
+    beta = np.asarray(beta, dtype=float)
     n_men = gains.n_male_types
-    men, women = b[:n_men], b[n_men:]
+    men, women = beta[:n_men], beta[n_men:]
     return MaritalDistribution(
         married=gains.entries * np.outer(men, women),
         single_men=men**2,
         single_women=women**2,
     )
-
-
-def objective_E(beta, market: ValidatedMarket) -> float:
-    """Variational objective over amplitudes; +inf on the coordinate hyperplanes.
-
-    E(beta) = 1/2 sum beta_k^2 + sum_ij Pi_ij beta_i beta_{I+j}
-              - sum_k nu_k log|beta_k|
-    and equals objective_H(log beta) - <nu, log beta> on the positive orthant.
-    """
-    b = _beta_of(beta)
-    if np.any(b == 0):
-        return float("inf")
-    n_men = market.n_male_types
-    men, women = b[:n_men], b[n_men:]
-    quad = 0.5 * np.sum(b**2) + men @ market.gains.entries @ women
-    return float(quad - market.population.counts @ np.log(np.abs(b)))
 
 
 def _amplitudes(b) -> np.ndarray:
@@ -321,7 +250,8 @@ def objective_H(b, gains: GainsMatrix) -> tuple[float, np.ndarray, tuple[np.ndar
     """Value, gradient and Hessian blocks of the convex dual potential H.
 
     H(b) = 1/2 sum_k e^{2 b_k} + sum_ij Pi_ij e^{b_i + b_{I+j}}.  The
-    gradient at b minus nu equals residual(e^b).  The Hessian is returned as
+    gradient holds the row and column totals of marriage_distribution(e^b),
+    so grad - nu is the market-clearing residual.  The Hessian is returned as
     its diagonal d = grad + beta^2 (length I + J) and its men-by-women cross
     block C = Pi * beta_I beta_J^T; the full matrix is [[diag(d_I), C],
     [C^T, diag(d_J)]].  It factors as diag(beta) [[D_I, Pi], [Pi^T, D_J]]

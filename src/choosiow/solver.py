@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    AmplitudeVector,
     GainsMatrix,
     MaritalDistribution,
     PopulationVector,
@@ -39,50 +38,43 @@ class ConvergenceError(RuntimeError):
         self.residual_norm = residual_norm
 
 
+LINE_SEARCH_SHRINK = 0.5
+ARMIJO_CONSTANT = 1e-4
+# Cap on the Newton step in b-space; e^{2b} curvature explodes, so small
+# steps suffice even for extreme inputs.
+STEP_CAP = 10.0
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     gradient_tolerance: float = 1e-10  # per component, relative to nu_k
     max_iterations: int = 200
-    line_search_shrink: float = 0.5
-    armijo_constant: float = 1e-4
-    # Cap on the Newton step in b-space; e^{2b} curvature explodes, so small
-    # steps suffice even for extreme inputs.
-    step_cap: float = 10.0
 
     def __post_init__(self):
         if not self.gradient_tolerance > 0:
             raise ValueError("gradient_tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be a positive integer")
-        if not 0 < self.line_search_shrink < 1:
-            raise ValueError("line_search_shrink must lie in (0, 1)")
-        if not 0 < self.armijo_constant < 1:
-            raise ValueError("armijo_constant must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
 class Equilibrium:
     """Solved market: amplitudes, distribution, and solver diagnostics.
 
+    beta and log_beta (beta = e^log_beta) are read-only arrays in
+    [men | women] order.
     objective_value is the final H(b) - <nu, b>, i.e. minus the Legendre
     transform of H evaluated at nu.
     """
 
-    amplitudes: AmplitudeVector
+    beta: np.ndarray
+    log_beta: np.ndarray
     distribution: MaritalDistribution
     market: ValidatedMarket
     residual_norm: float
     iterations: int
     objective_value: float
     objective_trace: tuple[float, ...] = ()
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.amplitudes.beta
-
-    @property
-    def log_beta(self) -> np.ndarray:
-        return self.amplitudes.log_beta
 
 
 def initial_guess(population: PopulationVector) -> np.ndarray:
@@ -138,17 +130,17 @@ def solve(
                 float(np.linalg.norm(grad)),
             ) from exc
         cap = np.max(np.abs(step))
-        if cap > opts.step_cap:
-            step *= opts.step_cap / cap
+        if cap > STEP_CAP:
+            step *= STEP_CAP / cap
 
         slope = grad @ step
         t = 1.0
         while True:
             trial = b + t * step
             trial_obj = eval_objective(trial)
-            if trial_obj <= obj + opts.armijo_constant * t * slope + noise_floor(obj):
+            if trial_obj <= obj + ARMIJO_CONSTANT * t * slope + noise_floor(obj):
                 break
-            t *= opts.line_search_shrink
+            t *= LINE_SEARCH_SHRINK
             if t < 1e-14:
                 raise ConvergenceError(
                     f"line search failed at iteration {iterations}",
@@ -168,10 +160,15 @@ def solve(
                 float(np.linalg.norm(grad)),
             )
 
-    amplitudes = AmplitudeVector.from_log(b)
+    # Every accepted b passed the range check of potential_value, so beta is
+    # positive and finite.
+    beta = np.exp(b)
+    beta.setflags(write=False)
+    b.setflags(write=False)
     return Equilibrium(
-        amplitudes=amplitudes,
-        distribution=marriage_distribution(amplitudes, market.gains),
+        beta=beta,
+        log_beta=b,
+        distribution=marriage_distribution(beta, market.gains),
         market=market,
         residual_norm=float(np.linalg.norm(grad)),
         iterations=iterations,
@@ -234,9 +231,8 @@ def reduce_unpopulated(
     if not kept_men and not kept_women:
         raise ValueError("all types are unpopulated")
     if not kept_men or not kept_women:
-        # A one-sided market has no marriages; keep the populated side only
-        # by treating the missing side as a single phantom type with zero
-        # gains would change dimensions, so reject instead.
+        # With one side empty nobody can marry and the reduced gains matrix
+        # would have no rows or no columns, which GainsMatrix rejects.
         raise ValueError("one side of the market is entirely unpopulated")
     reduced_gains = GainsMatrix(
         entries=gains.entries[np.ix_(kept_men, kept_women)],

@@ -146,12 +146,6 @@ def statics_matrix(eq: Equilibrium) -> StaticsReport:
     return report
 
 
-def verify_sign_pattern(report: StaticsReport, n_men: int, n_women: int) -> SignCheckResult:
-    """Re-run the sign/symmetry/bound checks for a given block split."""
-    boundary = report.sign_check.mode == "boundary"
-    return _sign_check(report.r_matrix, report.beta_sq, report.nu, n_men, n_women, boundary)
-
-
 def _sign_check(
     r: np.ndarray,
     beta_sq: np.ndarray,
@@ -160,53 +154,43 @@ def _sign_check(
     n_women: int,
     boundary: bool,
 ) -> SignCheckResult:
-    n = n_men + n_women
-    scale = np.max(np.abs(r))
-    slack = _STRICTNESS_SLACK * max(1.0, scale)
-    failures: list[str] = []
+    abs_r = np.abs(r)
+    slack = _STRICTNESS_SLACK * max(1.0, np.max(abs_r))
 
+    def holds(lhs, rhs):
+        """lhs < rhs, relaxed to lhs <= rhs + slack in boundary mode."""
+        return lhs <= rhs + slack if boundary else lhs < rhs
+
+    failures: list[str] = []
     cross = r[:n_men, n_men:]
-    if boundary:
-        cross_ok = bool(np.all(cross <= slack))
-    else:
-        cross_ok = bool(np.all(cross < 0))
-    if not cross_ok:
-        failing = cross > slack if boundary else cross >= 0
-        for i, j in zip(*np.nonzero(failing)):
-            failures.append(f"cross-sex entry r[{i},{n_men + j}] = {cross[i, j]:.6g} is not negative")
+    cross_bad = ~holds(cross, 0.0)
+    for i, j in zip(*np.nonzero(cross_bad)):
+        failures.append(f"cross-sex entry r[{i},{n_men + j}] = {cross[i, j]:.6g} is not negative")
 
     # Same-sex blocks: (beta_k^2 + nu_k) r_kl / 2 must exceed the identity.
     weight = 0.5 * (beta_sq + nu)
-    scaled = weight[:, None] * r
     diag_ok = True
-    for block in (slice(0, n_men), slice(n_men, n)):
-        sub = scaled[block, block]
-        target = np.eye(sub.shape[0])
-        if boundary:
-            ok = np.all(sub >= target - slack)
-        else:
-            ok = np.all(sub > target)
-        if not ok:
-            diag_ok = False
-            bad = np.argwhere(~(sub > target) if not boundary else ~(sub >= target - slack))
-            for k, l in bad:
-                failures.append(
-                    f"same-sex bound fails at block entry ({block.start + k},{block.start + l}): "
-                    f"{sub[k, l]:.6g}"
-                )
+    for block in (slice(0, n_men), slice(n_men, n_men + n_women)):
+        sub = weight[block, None] * r[block, block]
+        bad = np.argwhere(~holds(np.eye(sub.shape[0]), sub))
+        diag_ok = diag_ok and bad.size == 0
+        for k, l in bad:
+            failures.append(
+                f"same-sex bound fails at block entry ({block.start + k},{block.start + l}): "
+                f"{sub[k, l]:.6g}"
+            )
 
-    offdiag = ~np.eye(n, dtype=bool)
-    bound = np.sqrt(np.outer(np.diag(r), np.diag(r)))
-    if boundary:
-        cs_ok = bool(np.all(np.abs(r[offdiag]) <= bound[offdiag] + slack))
-    else:
-        cs_ok = bool(np.all(np.abs(r[offdiag]) < bound[offdiag]))
+    # Off the diagonal |r_kl| < sqrt(r_kk r_ll); the diagonal bound is inf.
+    d = np.diag(r)
+    bound = np.sqrt(np.outer(d, d))
+    np.fill_diagonal(bound, np.inf)
+    cs_ok = bool(np.all(holds(abs_r, bound)))
     if not cs_ok:
         failures.append("Cauchy-Schwarz bound |r_kl| < sqrt(r_kk r_ll) violated")
 
     return SignCheckResult(
         mode="boundary" if boundary else "strict",
-        cross_negative=cross_ok,
+        cross_negative=not cross_bad.any(),
         diagonal_dominant=diag_ok,
         cauchy_schwarz=cs_ok,
         failures=tuple(failures),
@@ -225,11 +209,6 @@ def _conjecture(r: np.ndarray, n_men: int, n_women: int) -> ConjectureProbe:
         male_positive=male_sums > 0,
         female_positive=female_sums > 0,
     )
-
-
-def conjecture_probe(report: StaticsReport) -> ConjectureProbe:
-    """Diagnostic: does each diagonal r_kk dominate the cross entries it meets?"""
-    return _conjecture(report.r_matrix, report.n_male_types, report.n_female_types)
 
 
 def gains_sensitivity(eq: Equilibrium, report: StaticsReport) -> GainsSensitivity:

@@ -108,11 +108,8 @@ class TestSimulateChoices:
     def test_monte_carlo_matches_logit(self):
         model = ChoiceModel(np.array([0.0, math.log(2.0)]))
         rng = np.random.default_rng(102)
-        sim = simulate_choices(model, 1_000_000, rng, seed=102)
+        sim = simulate_choices(model, 1_000_000, rng)
         np.testing.assert_allclose(sim.frequencies, [1 / 3, 2 / 3], atol=0.005)
-        assert sim.seed == 102
-        assert sim.sample_mean == pytest.approx(EULER_GAMMA, abs=0.01)
-        assert sim.sample_variance == pytest.approx(math.pi**2 / 6.0, abs=0.02)
 
     def test_single_alternative(self):
         sim = simulate_choices(ChoiceModel(np.array([0.0])), 100, np.random.default_rng(0))
@@ -138,17 +135,16 @@ class TestSimulateChoices:
 
     def test_result_invariants(self):
         with pytest.raises(ValueError, match="sum"):
-            SimulationResult(np.array([0.5, 0.4]), 10, 0.0, 1.0)
+            SimulationResult(np.array([0.5, 0.4]), 10)
 
 
 class TestEquilibriumConsistency:
     def test_symmetric_fixture(self, symmetric_1x1):
         eq = solve(symmetric_1x1)
         rng = np.random.default_rng(105)
-        record = equilibrium_consistency(eq, 1_000_000, rng, seed=105)
+        record = equilibrium_consistency(eq, 1_000_000, rng)
         # P(marry) target is 50/100 = 0.5 for both sides
         assert record.max_divergence < 0.005
-        assert record.seed == 105
 
     def test_asymmetric_fixture(self, asymmetric_1x1):
         eq = solve(asymmetric_1x1)

@@ -4,20 +4,35 @@ import numpy as np
 import pytest
 
 from choosiow import (
-    AmplitudeVector,
     GainsMatrix,
     MaritalDistribution,
     PopulationVector,
     ScalingError,
+    ValidatedMarket,
     marriage_distribution,
-    objective_E,
     objective_H,
-    residual,
     solve,
-    validate_market,
+    statics_matrix,
 )
-from choosiow.core import reduce_hessian
+from choosiow.core import potential_value, reduce_hessian
 from conftest import dense_hessian, make_market
+
+
+def clearing_gap(beta, market) -> np.ndarray:
+    """Row and column totals of the distribution at amplitudes beta, minus nu."""
+    dist = marriage_distribution(beta, market.gains)
+    totals = np.concatenate([dist.row_totals(), dist.column_totals()])
+    return totals - market.population.counts
+
+
+def gradient_gap(b, market) -> np.ndarray:
+    """grad H(b) - nu, the clearing residual in log-amplitude space."""
+    return objective_H(b, market.gains)[1] - market.population.counts
+
+
+def objective(b, market) -> float:
+    """The solver's objective H(b) - <nu, b>, from the value-only potential."""
+    return potential_value(b, market.gains) - market.population.counts @ b
 
 
 class TestValidateMarket:
@@ -39,6 +54,21 @@ class TestValidateMarket:
         with pytest.raises(ValueError, match="expected"):
             make_market([[1.0]], [1.0, 1.0, 1.0])
 
+    def test_direct_construction_flags_zero_row(self):
+        # Building ValidatedMarket directly must flag the zero row too, so
+        # statics run in boundary mode instead of failing the strict check.
+        market = ValidatedMarket(
+            GainsMatrix([[0.0, 0.0], [2.0, 1.5]]), PopulationVector([100.0, 80.0, 90.0, 110.0])
+        )
+        assert market.flags == ("row 1 of the gains matrix is zero",)
+        check = statics_matrix(solve(market)).sign_check
+        assert check.mode == "boundary"
+        assert check.passed, check.failures
+
+    def test_direct_construction_checks_dimensions(self):
+        with pytest.raises(ValueError, match="expected 1 \\+ 1 = 2"):
+            ValidatedMarket(GainsMatrix([[1.0]]), PopulationVector([1.0, 1.0, 1.0]))
+
     def test_negative_gains_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             GainsMatrix([[-1.0]])
@@ -54,21 +84,20 @@ class TestResidual:
         # beta2^2 + beta1*beta2 = 1 exactly.
         market = make_market([[1.0]], [4.0, 1.0])
         beta = np.array([4.0, 1.0]) / math.sqrt(5.0)
-        assert residual(beta, market) == pytest.approx([0.0, 0.0], abs=1e-14)
+        assert clearing_gap(beta, market) == pytest.approx([0.0, 0.0], abs=1e-14)
+        assert gradient_gap(np.log(beta), market) == pytest.approx([0.0, 0.0], abs=1e-14)
 
     def test_zero_gains_sqrt_nu_is_root(self):
+        # Exact in beta space: the squares of the square roots of these
+        # counts are the counts.
         market = make_market(np.zeros((3, 2)), [4.0, 9.0, 16.0, 25.0, 36.0])
         beta = np.sqrt(market.population.counts)
-        assert residual(beta, market) == pytest.approx(np.zeros(5), abs=0)
+        assert clearing_gap(beta, market) == pytest.approx(np.zeros(5), abs=0)
 
     def test_direct_evaluation(self):
         market = make_market([[1.0]], [100.0, 100.0])
-        assert residual(np.array([1.0, 1.0]), market) == pytest.approx([-98.0, -98.0])
-
-    def test_accepts_amplitude_vector(self):
-        market = make_market([[1.0]], [100.0, 100.0])
-        amp = AmplitudeVector.from_beta([1.0, 1.0])
-        np.testing.assert_allclose(residual(amp, market), [-98.0, -98.0])
+        assert clearing_gap(np.array([1.0, 1.0]), market) == pytest.approx([-98.0, -98.0])
+        assert gradient_gap(np.zeros(2), market) == pytest.approx([-98.0, -98.0])
 
 
 class TestMarriageDistribution:
@@ -101,17 +130,14 @@ class TestMarriageDistribution:
 
 
 class TestObjectiveE:
+    # E(beta) = H(log beta) - <nu, log beta>, evaluated at beta = (1, 1).
     def test_zero_gains(self):
         market = make_market([[0.0]], [1.0, 1.0])
-        assert objective_E(np.array([1.0, 1.0]), market) == pytest.approx(1.0)
+        assert objective(np.zeros(2), market) == pytest.approx(1.0)
 
     def test_unit_gains(self):
         market = make_market([[1.0]], [1.0, 1.0])
-        assert objective_E(np.array([1.0, 1.0]), market) == pytest.approx(2.0)
-
-    def test_hyperplane_divergence(self):
-        market = make_market([[1.0]], [1.0, 1.0])
-        assert objective_E(np.array([0.0, 1.0]), market) == math.inf
+        assert objective(np.zeros(2), market) == pytest.approx(2.0)
 
 
 class TestObjectiveH:
@@ -140,7 +166,7 @@ class TestObjectiveH:
 
 
 class TestCoreIdentities:
-    """Randomized checks tying residual, E, and H together."""
+    """Randomized checks tying the clearing residual, E, and H together."""
 
     def _random_case(self, rng):
         n_men = int(rng.integers(1, 6))
@@ -156,17 +182,18 @@ class TestCoreIdentities:
         rng = np.random.default_rng(7)
         for _ in range(25):
             market, b = self._random_case(rng)
-            _, grad, _ = objective_H(b, market.gains)
-            expected = grad - market.population.counts
-            actual = residual(np.exp(b), market)
+            expected = gradient_gap(b, market)
+            actual = clearing_gap(np.exp(b), market)
             np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
 
     def test_E_equals_H_minus_inner_product(self):
+        # E from the value-only potential_value against objective_H's value:
+        # two separate implementations of H.
         rng = np.random.default_rng(8)
         for _ in range(25):
             market, b = self._random_case(rng)
             value, _, _ = objective_H(b, market.gains)
-            lhs = objective_E(np.exp(b), market)
+            lhs = objective(b, market)
             rhs = value - market.population.counts @ b
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -235,14 +262,13 @@ class TestReducedHessian:
 
 
 class TestTypes:
-    def test_amplitude_round_trip(self):
-        amp = AmplitudeVector.from_log(np.array([0.0, 1.0]))
-        np.testing.assert_allclose(amp.beta, [1.0, math.e])
-        assert np.all(amp.log_beta == np.log(amp.beta))
-
-    def test_amplitude_rejects_nonpositive(self):
+    def test_equilibrium_amplitudes_read_only(self):
+        eq = solve(make_market([[1.0, 0.5]], [4.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(eq.beta, np.exp(eq.log_beta))
         with pytest.raises(ValueError):
-            AmplitudeVector.from_beta([1.0, 0.0])
+            eq.beta[0] = 1.0
+        with pytest.raises(ValueError):
+            eq.log_beta[0] = 1.0
 
     def test_distribution_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -150,8 +150,6 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverOptions(gradient_tolerance=0.0)
         with pytest.raises(ValueError):
-            SolverOptions(line_search_shrink=1.5)
-        with pytest.raises(ValueError):
             SolverOptions(max_iterations=0)
 
 

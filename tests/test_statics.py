@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from choosiow import (
-    conjecture_probe,
     finite_difference_check,
     gains_sensitivity,
     marriage_elasticity,
@@ -14,7 +13,6 @@ from choosiow import (
     spectral_diagnostic,
     statics_matrix,
     transfer_analysis,
-    verify_sign_pattern,
 )
 from choosiow.statics import SignCheckResult, _sign_check
 from conftest import dense_hessian, make_market, random_market
@@ -77,7 +75,7 @@ class TestStaticsMatrix:
 class TestSignPattern:
     def test_strict_pass_on_fixture(self, symmetric_1x1_eq):
         report = statics_matrix(symmetric_1x1_eq)
-        check = verify_sign_pattern(report, 1, 1)
+        check = report.sign_check
         assert check.mode == "strict"
         assert check.passed
         # 0.5 * (50 + 100) * 0.015 = 1.125 > 1 on the diagonal
@@ -97,6 +95,80 @@ class TestSignPattern:
         check = _sign_check(bad, np.array([50.0, 50.0]), np.array([100.0, 100.0]), 1, 1, False)
         assert not check.cross_negative
         assert check.failures
+
+    def test_same_sex_bound_failures(self):
+        # 2 men, 1 woman; weight (beta^2 + nu) / 2 = 10 for every type.  The
+        # scaled male block [[0.5, -0.1], [-0.1, 1.2]] misses the identity at
+        # (0,0) and both off-diagonal entries, by far more than the slack.
+        r = np.array([[0.05, -0.01, -0.02], [-0.01, 0.12, -0.03], [-0.02, -0.03, 0.2]])
+        weights = (np.full(3, 10.0), np.full(3, 10.0))
+        expected = (
+            "same-sex bound fails at block entry (0,0): 0.5",
+            "same-sex bound fails at block entry (0,1): -0.1",
+            "same-sex bound fails at block entry (1,0): -0.1",
+        )
+        for boundary, mode in ((False, "strict"), (True, "boundary")):
+            check = _sign_check(r, *weights, 2, 1, boundary)
+            assert check == SignCheckResult(mode, True, False, True, expected)
+            assert not check.passed
+
+    def test_same_sex_bound_at_identity(self):
+        # Scaled diagonal exactly 1 and same-sex off-diagonal exactly 0:
+        # weakly true (boundary passes), strictly false (strict fails).
+        r = np.array([[0.0625, 0.0, -0.01], [0.0, 0.0625, -0.01], [-0.01, -0.01, 0.25]])
+        weights = (np.full(3, 16.0), np.full(3, 16.0))
+        strict = _sign_check(r, *weights, 2, 1, False)
+        assert strict == SignCheckResult(
+            "strict", True, False, True,
+            (
+                "same-sex bound fails at block entry (0,0): 1",
+                "same-sex bound fails at block entry (0,1): 0",
+                "same-sex bound fails at block entry (1,0): 0",
+                "same-sex bound fails at block entry (1,1): 1",
+            ),
+        )
+        assert _sign_check(r, *weights, 2, 1, True) == SignCheckResult(
+            "boundary", True, True, True, ()
+        )
+
+    def test_cauchy_schwarz_failure(self):
+        # |r_01| = 0.02 > sqrt(r_00 r_11) = 0.015; cross and same-sex pass.
+        r = np.array([[0.015, -0.02], [-0.02, 0.015]])
+        weights = (np.array([50.0, 50.0]), np.array([100.0, 100.0]))
+        message = ("Cauchy-Schwarz bound |r_kl| < sqrt(r_kk r_ll) violated",)
+        for boundary, mode in ((False, "strict"), (True, "boundary")):
+            check = _sign_check(r, *weights, 1, 1, boundary)
+            assert check == SignCheckResult(mode, True, True, False, message)
+            assert not check.passed
+
+    def test_cauchy_schwarz_equality(self):
+        # |r_01| = sqrt(r_00 r_11) exactly: boundary passes, strict fails.
+        r = np.array([[0.0625, -0.0625], [-0.0625, 0.0625]])
+        weights = (np.array([20.0, 20.0]), np.array([20.0, 20.0]))
+        assert _sign_check(r, *weights, 1, 1, False) == SignCheckResult(
+            "strict", True, True, False,
+            ("Cauchy-Schwarz bound |r_kl| < sqrt(r_kk r_ll) violated",),
+        )
+        assert _sign_check(r, *weights, 1, 1, True) == SignCheckResult(
+            "boundary", True, True, True, ()
+        )
+
+    def test_cross_sex_failure_both_modes(self):
+        # A cross entry of exactly 0 fails strictly but not weakly; 0.004 fails both.
+        r = np.array([[0.02, 0.0, 0.004], [0.0, 0.02, 0.001], [0.004, 0.001, 0.02]])
+        weights = (np.full(3, 60.0), np.full(3, 60.0))
+        strict = _sign_check(r, *weights, 1, 2, False)
+        assert strict == SignCheckResult(
+            "strict", False, True, True,
+            (
+                "cross-sex entry r[0,1] = 0 is not negative",
+                "cross-sex entry r[0,2] = 0.004 is not negative",
+            ),
+        )
+        assert _sign_check(r, *weights, 1, 2, True) == SignCheckResult(
+            "boundary", False, True, True,
+            ("cross-sex entry r[0,2] = 0.004 is not negative",),
+        )
 
     def test_randomized_strict_pattern(self):
         rng = np.random.default_rng(22)
@@ -269,20 +341,20 @@ class TestSpectralDiagnostic:
 
 class TestConjectureProbe:
     def test_symmetric_fixture_positive(self, symmetric_1x1_eq):
-        probe = conjecture_probe(statics_matrix(symmetric_1x1_eq))
+        probe = statics_matrix(symmetric_1x1_eq).conjecture
         assert probe.male_sums[0, 0] == pytest.approx(0.01, rel=1e-9)
         assert probe.all_positive
 
     def test_zero_gains_positive(self):
         market = make_market(np.zeros((2, 2)), [1.0, 2.0, 3.0, 4.0])
-        probe = conjecture_probe(statics_matrix(solve(market)))
+        probe = statics_matrix(solve(market)).conjecture
         assert probe.all_positive
 
     def test_probe_never_asserts(self):
         # The probe returns observations; it must not raise on any input.
         rng = np.random.default_rng(26)
         for _ in range(10):
-            probe = conjecture_probe(statics_matrix(solve(random_market(rng, max_types=6))))
+            probe = statics_matrix(solve(random_market(rng, max_types=6))).conjecture
             assert probe.male_positive.dtype == bool
 
 
