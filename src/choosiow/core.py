@@ -239,13 +239,6 @@ def _amplitudes(b) -> np.ndarray:
     return np.exp(b)
 
 
-def potential_value(b, gains: GainsMatrix) -> float:
-    """H(b) = 1/2 |beta|^2 + beta_I^T Pi beta_J alone, without derivatives."""
-    beta = _amplitudes(b)
-    n_men = gains.n_male_types
-    return float(0.5 * (beta @ beta) + beta[:n_men] @ gains.entries @ beta[n_men:])
-
-
 def objective_H(b, gains: GainsMatrix) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Value, gradient and Hessian blocks of the convex dual potential H.
 
@@ -282,7 +275,8 @@ class ReducedHessian:
 
         H^-1 = [[S^-1, -S^-1 K], [-K^T S^-1, D_c^-1 + K^T S^-1 K]].
 
-    Vectors and matrices go in and out in [men | women] order.
+    Vectors and matrices go in and out in [men | women] order.  Every array
+    may carry leading stack axes, one Hessian per stack member.
     """
 
     s: np.ndarray  # reduced matrix, order min(I, J)
@@ -293,42 +287,55 @@ class ReducedHessian:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with H x = rhs, by S x_a = r_a - K r_c and x_c = r_c / d_c - K^T x_a."""
-        r_c = rhs[self.c]
-        x_a = np.linalg.solve(self.s, rhs[self.a] - self.k @ r_c)
-        out = np.empty(rhs.size)
-        out[self.a] = x_a
-        out[self.c] = r_c / self.d_c - self.k.T @ x_a
+        r_c = rhs[..., self.c, None]
+        x_a = np.linalg.solve(self.s, rhs[..., self.a, None] - self.k @ r_c)
+        out = np.empty(rhs.shape)
+        out[..., self.a] = x_a[..., 0]
+        out[..., self.c] = (r_c / self.d_c[..., None] - _transpose(self.k) @ x_a)[..., 0]
         return out
 
     def inverse(self) -> np.ndarray:
         """The dense inverse Hessian, (I+J) x (I+J), symmetric."""
         s_inv = np.linalg.inv(self.s)
         top = -s_inv @ self.k  # -S^-1 K
-        n = self.d_c.size + s_inv.shape[0]
-        out = np.empty((n, n))
-        out[self.a, self.a] = s_inv
-        out[self.a, self.c] = top
-        out[self.c, self.a] = top.T
-        out[self.c, self.c] = np.diag(1.0 / self.d_c) - self.k.T @ top
-        return 0.5 * (out + out.T)
+        n = self.d_c.shape[-1] + s_inv.shape[-1]
+        out = np.empty(self.d_c.shape[:-1] + (n, n))
+        out[..., self.a, self.a] = s_inv
+        out[..., self.a, self.c] = top
+        out[..., self.c, self.a] = _transpose(top)
+        out[..., self.c, self.c] = -_transpose(self.k) @ top
+        _diagonal(out[..., self.c, self.c])[...] += 1.0 / self.d_c
+        return 0.5 * (out + _transpose(out))
+
+
+def _transpose(stack: np.ndarray) -> np.ndarray:
+    return stack.swapaxes(-1, -2)
+
+
+def _diagonal(stack: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a stack of square matrices."""
+    return np.einsum("...ii->...i", stack)
 
 
 def reduce_hessian(diag: np.ndarray, cross: np.ndarray) -> ReducedHessian:
     """Eliminate the larger side of the Hessian given as objective_H's blocks.
 
-    Raises numpy.linalg.LinAlgError when S is not finite or not positive
-    definite, i.e. when the Hessian cannot be factored.
+    diag has shape (..., I + J) and cross (..., I, J).  Raises
+    numpy.linalg.LinAlgError when S is not finite or not positive definite,
+    i.e. when the Hessian cannot be factored; for a stack, when that holds
+    for any member.
     """
-    n_men, n_women = cross.shape
+    n_men, n_women = cross.shape[-2:]
     n = n_men + n_women
     if n_men <= n_women:
         a, c, c_ac = slice(0, n_men), slice(n_men, n), cross
     else:
-        a, c, c_ac = slice(n_men, n), slice(0, n_men), cross.T
-    d_c = diag[c]
-    k = c_ac / d_c
-    s = np.diag(diag[a]) - k @ c_ac.T
-    if not np.all(np.isfinite(s)):
+        a, c, c_ac = slice(n_men, n), slice(0, n_men), _transpose(cross)
+    d_c = diag[..., c]
+    k = c_ac / d_c[..., None, :]
+    s = -(k @ _transpose(c_ac))
+    _diagonal(s)[...] += diag[..., a]
+    if not np.isfinite(s).all():
         raise np.linalg.LinAlgError("reduced Hessian is not finite")
     np.linalg.cholesky(s)  # raises LinAlgError unless S is positive definite
     return ReducedHessian(s=s, k=k, d_c=d_c, a=a, c=c)

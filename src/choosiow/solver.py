@@ -7,23 +7,30 @@ step solves the Newton system through the reduced matrix S of order
 min(I, J) (core.ReducedHessian), whose Cholesky factorisation checks
 positive definiteness, then backtracks on the value of H alone (Armijo);
 strict convexity makes the iteration globally convergent.
+
+One loop (_solve_stack) runs this iteration on a stack of equal-shape
+markets at once, with batched factorisations and a per-market line search;
+markets leave the stack as they converge, and each follows the same
+sequence of iterates as when solved alone.  solve is its one-market case;
+the finite-difference oracle in statics solves its perturbed markets as
+stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import (
+    LOG_AMPLITUDE_BOUND,
     GainsMatrix,
     MaritalDistribution,
     PopulationVector,
-    ScalingError,
     ValidatedMarket,
+    _amplitudes,
     marriage_distribution,
-    objective_H,
-    potential_value,
     reduce_hessian,
     validate_market,
 )
@@ -43,6 +50,7 @@ ARMIJO_CONSTANT = 1e-4
 # Cap on the Newton step in b-space; e^{2b} curvature explodes, so small
 # steps suffice even for extreme inputs.
 STEP_CAP = 10.0
+_NOISE = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -98,83 +106,172 @@ def solve(
     """
     nu = market.population.counts
     b = initial_guess(market.population) if start is None else np.array(start, dtype=float)
-    # Componentwise criterion in the clearing metric; implies
-    # ||grad|| <= gradient_tolerance * ||nu||.
-    tol_per_component = opts.gradient_tolerance * nu
-    # Near the minimum the objective comparison is noise limited; allow the
-    # line search to accept steps within rounding error of the current value.
-    noise_floor = lambda value: 4.0 * np.finfo(float).eps * abs(value)
-
-    def eval_objective(b_trial: np.ndarray) -> float:
-        try:
-            return potential_value(b_trial, market.gains) - nu @ b_trial
-        except ScalingError:
-            return float("inf")
-
-    obj = potential_value(b, market.gains) - nu @ b
-    _, grad, hess = objective_H(b, market.gains)
-    grad = grad - nu
-    trace = [obj]
-    iterations = 0
-
-    for iterations in range(1, opts.max_iterations + 1):
-        if np.all(np.abs(grad) <= tol_per_component):
-            iterations -= 1
-            break
-        try:
-            step = reduce_hessian(*hess).solve(-grad)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"Hessian factorization failed at iteration {iterations}",
-                b,
-                float(np.linalg.norm(grad)),
-            ) from exc
-        cap = np.max(np.abs(step))
-        if cap > STEP_CAP:
-            step *= STEP_CAP / cap
-
-        slope = grad @ step
-        t = 1.0
-        while True:
-            trial = b + t * step
-            trial_obj = eval_objective(trial)
-            if trial_obj <= obj + ARMIJO_CONSTANT * t * slope + noise_floor(obj):
-                break
-            t *= LINE_SEARCH_SHRINK
-            if t < 1e-14:
-                raise ConvergenceError(
-                    f"line search failed at iteration {iterations}",
-                    b,
-                    float(np.linalg.norm(grad)),
-                )
-        b, obj = trial, trial_obj
-        _, grad, hess = objective_H(b, market.gains)
-        grad = grad - nu
-        trace.append(obj)
-    else:
-        if not np.all(np.abs(grad) <= tol_per_component):
-            raise ConvergenceError(
-                f"no convergence within {opts.max_iterations} iterations "
-                f"(residual norm {np.linalg.norm(grad):.3e})",
-                b,
-                float(np.linalg.norm(grad)),
-            )
-
-    # Every accepted b passed the range check of potential_value, so beta is
-    # positive and finite.
+    stack = _solve_stack(market.gains.entries[None], nu[None], b[None], opts)
+    iterations = int(stack.iterations[0])
+    # Every accepted b passed the range check, so beta is positive and finite.
+    b = stack.log_beta[0]
     beta = np.exp(b)
     beta.setflags(write=False)
     b.setflags(write=False)
+    trace = stack.objective_trace[: iterations + 1, 0]
     return Equilibrium(
         beta=beta,
         log_beta=b,
         distribution=marriage_distribution(beta, market.gains),
         market=market,
-        residual_norm=float(np.linalg.norm(grad)),
+        residual_norm=float(np.linalg.norm(stack.residual[0])),
         iterations=iterations,
-        objective_value=float(obj),
-        objective_trace=tuple(trace),
+        objective_value=float(trace[-1]),
+        objective_trace=tuple(trace.tolist()),
     )
+
+
+class _StackSolution(NamedTuple):
+    log_beta: np.ndarray  # (B, I+J)
+    residual: np.ndarray  # (B, I+J), the final gradient of H(b) - <nu, b>
+    iterations: np.ndarray  # (B,)
+    # (T+1, B): row t holds each member's objective after t steps, or after
+    # its last step once it has converged.
+    objective_trace: np.ndarray
+
+
+def _solve_stack(
+    gains: np.ndarray,
+    nu: np.ndarray,
+    start: np.ndarray,
+    opts: SolverOptions,
+    name: Callable[[int], str] = lambda member: "",
+) -> _StackSolution:
+    """Damped Newton on a stack of equal-shape markets at once.
+
+    gains has shape (B, I, J), nu and start (B, I+J).  Each member follows
+    exactly the iteration solve describes: a Newton step through the reduced
+    Hessian, capped at STEP_CAP, then Armijo backtracking with a noise
+    floor; members leave the stack as they converge.  A failure raises
+    ConvergenceError for the first failing member, whose message starts
+    with name(member index).
+    """
+    n_men = gains.shape[1]
+    _amplitudes(start)  # a non-finite or out-of-range start raises here
+    b = np.array(start, dtype=float)
+    tol = opts.gradient_tolerance * nu
+    beta, obj = _objective(gains, nu, b, n_men)
+
+    count = b.shape[0]
+    log_beta_out = np.empty(b.shape)
+    residual_out = np.empty(b.shape)
+    iterations_out = np.empty(count, dtype=int)
+    obj_out = obj.copy()
+    history = [obj_out.copy()]
+    idx = np.arange(count)  # stack position of each active member
+    iterations = 0
+
+    def fail(member: int, message: str) -> ConvergenceError:
+        return ConvergenceError(
+            name(int(idx[member])) + message, b[member], float(np.linalg.norm(grad[member]))
+        )
+
+    while True:
+        # Gradient and Hessian blocks at the accepted point, from its amplitudes.
+        men, women = beta[:, :n_men], beta[:, n_men:]
+        cross = gains * (men[:, :, None] * women[:, None, :])
+        h_grad = np.empty(b.shape)
+        h_grad[:, :n_men] = men**2 + cross.sum(axis=2)
+        h_grad[:, n_men:] = women**2 + cross.sum(axis=1)
+        grad = h_grad - nu
+        done = (np.abs(grad) <= tol).all(axis=1)
+        n_done = np.count_nonzero(done)
+        if n_done:
+            log_beta_out[idx[done]] = b[done]
+            residual_out[idx[done]] = grad[done]
+            iterations_out[idx[done]] = iterations
+            if n_done == done.size:
+                break
+            keep = ~done
+            idx, gains, nu, tol, b, beta, cross, obj, grad, h_grad = (
+                x[keep] for x in (idx, gains, nu, tol, b, beta, cross, obj, grad, h_grad)
+            )
+        if iterations == opts.max_iterations:
+            raise fail(
+                0,
+                f"no convergence within {opts.max_iterations} iterations "
+                f"(residual norm {np.linalg.norm(grad[0]):.3e})",
+            )
+        iterations += 1
+
+        diag = h_grad + beta**2
+        try:
+            step = reduce_hessian(diag, cross).solve(-grad)
+        except np.linalg.LinAlgError as exc:
+            member = _unfactorable(diag, cross)
+            message = f"Hessian factorization failed at iteration {iterations}"
+            raise fail(member, message) from exc
+        cap = np.abs(step).max(axis=1)
+        capped = cap > STEP_CAP
+        if np.count_nonzero(capped):
+            step[capped] *= (STEP_CAP / cap[capped])[:, None]
+
+        slope = (grad[:, None, :] @ step[:, :, None])[:, 0, 0]
+        # Near the minimum the objective comparison is noise limited; allow the
+        # line search to accept steps within rounding error of the current value.
+        floor = _NOISE * np.abs(obj)
+        trial = b + step
+        beta, trial_obj = _objective(gains, nu, trial, n_men)
+        accept = trial_obj <= obj + ARMIJO_CONSTANT * slope + floor  # t = 1
+        t = None
+        while np.count_nonzero(accept) < accept.size:
+            if t is None:
+                t = np.ones(accept.size)
+            p = np.flatnonzero(~accept)
+            if p.size == t.size:
+                p = slice(None)  # the whole stack backtracks: views, not copies
+            t[p] *= LINE_SEARCH_SHRINK
+            if (t[p] < 1e-14).any():
+                raise fail(
+                    int(np.flatnonzero(t < 1e-14)[0]),
+                    f"line search failed at iteration {iterations}",
+                )
+            trial[p] = b[p] + t[p, None] * step[p]
+            beta[p], trial_obj[p] = _objective(gains[p], nu[p], trial[p], n_men)
+            accept[p] = trial_obj[p] <= obj[p] + (ARMIJO_CONSTANT * t[p]) * slope[p] + floor[p]
+        b, obj = trial, trial_obj
+        obj_out[idx] = obj
+        history.append(obj_out.copy())
+
+    return _StackSolution(log_beta_out, residual_out, iterations_out, np.array(history))
+
+
+def _objective(
+    gains: np.ndarray, nu: np.ndarray, b: np.ndarray, n_men: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """beta = e^b and H(b) - <nu, b> for a stack of log-amplitudes.
+
+    The objective is +inf for members whose log-amplitudes leave the safe
+    range, so that the line search shortens such a step.
+    """
+    in_range = (np.abs(b) <= LOG_AMPLITUDE_BOUND).all(axis=1)
+    all_in_range = np.count_nonzero(in_range) == in_range.size
+    beta = np.exp(b if all_in_range else np.where(in_range[:, None], b, 0.0))
+    # H(b) = 1/2 |beta|^2 + beta_I^T Pi beta_J, as matrix-vector products.
+    row = beta[:, None, :]
+    obj = (
+        0.5 * (row @ beta[:, :, None])
+        + row[:, :, :n_men] @ gains @ beta[:, n_men:, None]
+        - nu[:, None, :] @ b[:, :, None]
+    )[:, 0, 0]
+    if not all_in_range:
+        obj[~in_range] = np.inf
+    return beta, obj
+
+
+def _unfactorable(diag: np.ndarray, cross: np.ndarray) -> int:
+    """Position of the first stack member whose Hessian cannot be factored."""
+    for member in range(diag.shape[0]):
+        try:
+            reduce_hessian(diag[member], cross[member])
+        except np.linalg.LinAlgError:
+            return member
+    return 0
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ strict sign pattern (same-sex entries positive, cross-sex entries
 negative) and a spectral certificate lambda_max < 1 for the associated
 non-negative operator, computed by eigvalsh on the smaller side.  All
 derivatives can be cross-checked against a brute-force re-solve oracle
-(finite_difference_check).
+(finite_difference_check), whose 2(I+J) + 2IJ perturbed markets are solved
+together as stacks by the solver's batched Newton loop, each stack holding
+at most _STACK_ELEMENT_BUDGET gains entries.
 """
 
 from __future__ import annotations
@@ -21,10 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GainsMatrix, PopulationVector, objective_H, reduce_hessian, validate_market
-from .solver import Equilibrium, SolverOptions, solve
+from .core import objective_H, reduce_hessian
+from .solver import Equilibrium, SolverOptions, _solve_stack
 
 _STRICTNESS_SLACK = 1e-12
+# The finite-difference re-solves run in stacks of at most this many gains
+# entries (B x I x J), so check on a 40 x 300 market does not allocate its
+# 24,680 perturbed gains matrices at once.
+_STACK_ELEMENT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -337,69 +343,91 @@ def finite_difference_check(
     market (warm-started at eq) at nu_k (1 +/- step) for every k and at
     Pi_ij +/- step (1 + Pi_ij) for every (i, j), then compares the central
     differences of beta^2, log mu, the transfer index, and the
-    participation rate against the analytic values.
+    participation rate against the analytic values.  Where Pi_ij < step
+    (1 + Pi_ij) the lower point is Pi_ij = 0 and the difference is
+    one-sided.  The 2(I+J) + 2IJ re-solves run as stacks of perturbed
+    copies of the market, in chunks of at most _STACK_ELEMENT_BUDGET gains
+    entries.
     """
     market = eq.market
-    gains = gains_sensitivity(eq, report)
-    elasticity = marriage_elasticity(eq, report)
-    transfers = transfer_analysis(eq, report)
-    participation = participation_analysis(eq, report)
-
     n = market.size
     n_men = market.n_male_types
     nu = market.population.counts
-    pi = market.gains.entries
-    b0 = eq.log_beta
+    pi = market.gains.entries.ravel()
+    n_pairs = pi.size
 
-    def resolve(counts: np.ndarray, entries: np.ndarray) -> Equilibrium:
-        perturbed = validate_market(
-            GainsMatrix(entries, market.gains.row_labels, market.gains.col_labels),
-            PopulationVector(counts),
+    # Re-solve m sets entry position[m] of theta = [nu | Pi.ravel()] to
+    # value[m]; the four blocks of re-solves are nu_k + h_k, nu_k - h_k,
+    # Pi_ij + h_ij and max(Pi_ij - h_ij, 0).
+    h_nu = step * nu
+    h_pi = step * (1.0 + pi)
+    pi_lo = np.maximum(pi - h_pi, 0.0)
+    theta = np.concatenate([nu, pi])
+    position = np.concatenate([np.tile(np.arange(n), 2), n + np.tile(np.arange(n_pairs), 2)])
+    value = np.concatenate([nu + h_nu, nu - h_nu, pi + h_pi, pi_lo])
+    count = value.size
+    counts, entries = value[: 2 * n], value[2 * n :]
+    if not (np.isfinite(value).all() and (counts > 0).all() and (entries >= 0).all()):
+        raise ValueError(
+            f"finite-difference step {step!r} makes a population non-positive or a gain negative"
         )
-        return solve(perturbed, opts, start=b0)
 
-    fd_r = np.empty((n, n))
-    fd_mu = np.empty(elasticity.shape)
-    fd_transfer = np.empty(transfers.transfer_derivatives.shape)
-    fd_participation = np.empty(n)
-    for k in range(n):
-        h = step * nu[k]
-        shifted = nu.copy()
-        shifted[k] = nu[k] + h
-        hi = resolve(shifted, pi)
-        shifted[k] = nu[k] - h
-        lo = resolve(shifted, pi)
-        fd_r[:, k] = (hi.beta**2 - lo.beta**2) / (2 * h) / eq.beta**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fd_mu[:, :, k] = (
-                np.log(hi.distribution.married) - np.log(lo.distribution.married)
-            ) / (2 * h)
-        hi_index = 2.0 * (hi.log_beta[:n_men, None] - hi.log_beta[None, n_men:])
-        lo_index = 2.0 * (lo.log_beta[:n_men, None] - lo.log_beta[None, n_men:])
-        # transfer index = 2 tau + c with c exogenous, so d tau = d index / 2
-        fd_transfer[:, :, k] = (hi_index - lo_index) / (4 * h)
-        fd_participation[k] = (
-            hi.beta[k] ** 2 / (nu[k] + h) - lo.beta[k] ** 2 / (nu[k] - h)
-        ) / (2 * h)
+    labels = market.gains.row_labels + market.gains.col_labels
 
-    fd_gains = np.empty(gains.d_beta.shape)
-    for i in range(n_men):
-        for j in range(market.n_female_types):
-            h = step * (1.0 + pi[i, j])
-            entries = pi.copy()
-            entries[i, j] = pi[i, j] + h
-            hi = resolve(nu, entries)
-            entries[i, j] = max(pi[i, j] - h, 0.0)
-            h_lo = pi[i, j] - entries[i, j]
-            lo = resolve(nu, entries)
-            fd_gains[i, j, :] = (hi.beta - lo.beta) / (h + h_lo)
+    def name(m: int) -> str:
+        k = position[m]
+        if k < n:
+            entry = f"nu[{labels[k]}]"
+        else:
+            i, j = divmod(k - n, market.n_female_types)
+            entry = f"Pi[{labels[i]}, {labels[n_men + j]}]"
+        sign = "-" if n <= m < 2 * n or m >= 2 * n + n_pairs else "+"
+        return f"re-solve at {entry} {sign} h: "
+
+    log_beta = np.empty((count, n))
+    chunk = max(1, _STACK_ELEMENT_BUDGET // n_pairs)
+    for first in range(0, count, chunk):
+        members = slice(first, min(first + chunk, count))
+        stack = np.tile(theta, (members.stop - first, 1))
+        stack[np.arange(len(stack)), position[members]] = value[members]
+        log_beta[members] = _solve_stack(
+            stack[:, n:].reshape(len(stack), n_men, -1),
+            stack[:, :n],
+            np.broadcast_to(eq.log_beta, (len(stack), n)),
+            opts,
+            lambda m, first=first: name(first + m),
+        ).log_beta
+    beta = np.exp(log_beta)
+
+    # Row k of hi (lo) is the re-solve at nu_k + h_k (nu_k - h_k); the
+    # differences come out with k first and move to the last axis.
+    hi, lo = beta[:n], beta[n : 2 * n]
+    two_h = 2.0 * h_nu[:, None]
+    fd_r = ((hi**2 - lo**2) / two_h / eq.beta**2).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = market.gains.entries * (beta[: 2 * n, :n_men, None] * beta[: 2 * n, None, n_men:])
+        log_mu = np.log(mu)
+        fd_mu = np.moveaxis((log_mu[:n] - log_mu[n:]) / two_h[:, :, None], 0, -1)
+    # transfer index = 2 tau + c with c exogenous, so d tau = d index / 2
+    index = 2.0 * (log_beta[: 2 * n, :n_men, None] - log_beta[: 2 * n, None, n_men:])
+    fd_transfer = np.moveaxis((index[:n] - index[n:]) / (2.0 * two_h[:, :, None]), 0, -1)
+    k = np.arange(n)
+    fd_participation = (
+        hi[k, k] ** 2 / (nu + h_nu) - lo[k, k] ** 2 / (nu - h_nu)
+    ) / (2.0 * h_nu)
+    gains_hi, gains_lo = beta[2 * n : 2 * n + n_pairs], beta[2 * n + n_pairs :]
+    fd_gains = (gains_hi - gains_lo) / (h_pi + (pi - pi_lo))[:, None]
 
     return FiniteDifferenceReport(
         substitution_error=_rel_error(fd_r, report.r_matrix),
-        gains_error=_rel_error(fd_gains, gains.d_beta),
-        marriage_error=_rel_error(fd_mu, elasticity),
-        transfer_error=_rel_error(fd_transfer, transfers.transfer_derivatives),
+        gains_error=_rel_error(
+            fd_gains.reshape(n_men, -1, n), gains_sensitivity(eq, report).d_beta
+        ),
+        marriage_error=_rel_error(fd_mu, marriage_elasticity(eq, report)),
+        transfer_error=_rel_error(
+            fd_transfer, transfer_analysis(eq, report).transfer_derivatives
+        ),
         participation_error=_rel_error(
-            fd_participation, participation.own_derivative
+            fd_participation, participation_analysis(eq, report).own_derivative
         ),
     )

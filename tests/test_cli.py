@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,38 @@ class TestParseMarketTables:
         pops.write_text("side,label,count\nmale,m1,10\n", encoding="utf-8")
         with pytest.raises(ParseError, match="missing"):
             parse_market_tables(gains, pops)
+
+
+class TestProcess:
+    def test_parser_reuse_leaves_no_state(self, tmp_path, capsys):
+        # One parser serves every main() call of the process: a check with its
+        # own flags between two solves must not change the second solve.
+        market = str(write_market(tmp_path, SYMMETRIC_MARKET))
+        reports = []
+        for argv in (
+            ["solve", "--input", market],
+            ["check", "--input", market, "--fd-step", "1e-4", "--tolerance", "1e-9",
+             "--max-iter", "50"],
+            ["solve", "--input", market],
+        ):
+            assert main(argv) == EXIT_OK
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[2]
+        assert json.loads(reports[1])["settings"] == {
+            "tolerance": 1e-9, "max_iterations": 50, "fd_step": 1e-4, "fd_tolerance": 1e-3
+        }
+        assert json.loads(reports[2])["settings"] == {"tolerance": 1e-10, "max_iterations": 200}
+
+    def test_import_needs_numpy_only(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", "import choosiow.cli, sys; print('scipy' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestSolveCommand:

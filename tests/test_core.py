@@ -14,7 +14,8 @@ from choosiow import (
     solve,
     statics_matrix,
 )
-from choosiow.core import potential_value, reduce_hessian
+from choosiow.core import reduce_hessian
+from choosiow.solver import _objective
 from conftest import dense_hessian, make_market
 
 
@@ -31,8 +32,9 @@ def gradient_gap(b, market) -> np.ndarray:
 
 
 def objective(b, market) -> float:
-    """The solver's objective H(b) - <nu, b>, from the value-only potential."""
-    return potential_value(b, market.gains) - market.population.counts @ b
+    """The solver's objective H(b) - <nu, b>, as its line search evaluates it."""
+    stack = (market.gains.entries[None], market.population.counts[None], np.asarray(b)[None])
+    return float(_objective(*stack, market.n_male_types)[1][0])
 
 
 class TestValidateMarket:
@@ -187,8 +189,8 @@ class TestCoreIdentities:
             np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
 
     def test_E_equals_H_minus_inner_product(self):
-        # E from the value-only potential_value against objective_H's value:
-        # two separate implementations of H.
+        # E from the line search's value-only evaluation against objective_H's
+        # value: two separate implementations of H.
         rng = np.random.default_rng(8)
         for _ in range(25):
             market, b = self._random_case(rng)
@@ -259,6 +261,31 @@ class TestReducedHessian:
         # diag(1, 1) with cross entry 2 is indefinite: S = 1 - 4 < 0.
         with pytest.raises(np.linalg.LinAlgError):
             reduce_hessian(np.array([1.0, 1.0]), np.array([[2.0]]))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 5), (5, 2)])
+    def test_stack_matches_members(self, shape):
+        # A stack of Hessians reduces, solves and inverts member by member.
+        rng = np.random.default_rng(13)
+        market = make_market(
+            rng.uniform(0, 5, size=shape), np.exp(rng.uniform(0, 8, size=sum(shape)))
+        )
+        points = rng.uniform(-2, 4, size=(4, market.size))
+        blocks = [objective_H(b, market.gains)[2] for b in points]
+        rhs = rng.uniform(-1, 1, size=points.shape)
+        diag, cross = (np.stack(arrays) for arrays in zip(*blocks))
+        stacked = reduce_hessian(diag, cross)
+        steps, inverses = stacked.solve(rhs), stacked.inverse()
+        for member, (d, c) in enumerate(blocks):
+            alone = reduce_hessian(d, c)
+            np.testing.assert_allclose(steps[member], alone.solve(rhs[member]), rtol=1e-15, atol=0)
+            np.testing.assert_allclose(inverses[member], alone.inverse(), rtol=1e-15, atol=0)
+
+    def test_stack_with_indefinite_member_raises(self):
+        diag = np.ones((3, 2))
+        cross = np.array([[[0.5]], [[2.0]], [[0.1]]])
+        reduce_hessian(diag[[0, 2]], cross[[0, 2]])
+        with pytest.raises(np.linalg.LinAlgError):
+            reduce_hessian(diag, cross)
 
 
 class TestTypes:

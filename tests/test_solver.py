@@ -5,6 +5,7 @@ import pytest
 
 from choosiow import (
     ConvergenceError,
+    ScalingError,
     GainsMatrix,
     PopulationVector,
     SolverOptions,
@@ -14,6 +15,8 @@ from choosiow import (
     reduce_unpopulated,
     solve,
 )
+from choosiow.core import LOG_AMPLITUDE_BOUND
+from choosiow.solver import _objective, _solve_stack
 from conftest import make_market, random_market
 
 
@@ -141,6 +144,24 @@ class TestSolve:
         ):
             np.testing.assert_allclose(got, c * want, rtol=1e-12)
 
+    def test_start_checked(self, symmetric_1x1):
+        with pytest.raises(ValueError, match="finite"):
+            solve(symmetric_1x1, start=[0.0, np.nan])
+        with pytest.raises(ScalingError):
+            solve(symmetric_1x1, start=[0.0, LOG_AMPLITUDE_BOUND + 1.0])
+
+    def test_out_of_range_trial_is_infinitely_bad(self):
+        # The line search sees +inf for a member outside the safe range, and
+        # the value H(b) - <nu, b> for the others.
+        gains = np.array([[[2.0]], [[2.0]]])
+        nu = np.array([[3.0, 5.0], [3.0, 5.0]])
+        b = np.array([[0.5, -0.25], [0.5, LOG_AMPLITUDE_BOUND + 1.0]])
+        beta, obj = _objective(gains, nu, b, 1)
+        expected = 0.5 * (np.exp(1.0) + np.exp(-0.5)) + 2.0 * np.exp(0.25) - (1.5 - 1.25)
+        assert obj[0] == pytest.approx(expected, rel=1e-15)
+        assert obj[1] == np.inf
+        np.testing.assert_array_equal(beta[0], np.exp(b[0]))
+
     def test_nonconvergence_reported(self, symmetric_1x1):
         with pytest.raises(ConvergenceError) as info:
             solve(symmetric_1x1, SolverOptions(gradient_tolerance=1e-15, max_iterations=1))
@@ -151,6 +172,109 @@ class TestSolve:
             SolverOptions(gradient_tolerance=0.0)
         with pytest.raises(ValueError):
             SolverOptions(max_iterations=0)
+
+
+def _stack(markets, starts):
+    return (
+        np.stack([m.gains.entries for m in markets]),
+        np.stack([m.population.counts for m in markets]),
+        np.stack(starts),
+    )
+
+
+class TestSolveStack:
+    @staticmethod
+    def _markets(rng, count, shape=(3, 4)):
+        return [
+            make_market(
+                rng.uniform(0.0, 5.0, size=shape), np.exp(rng.uniform(0.0, 10.0, size=sum(shape)))
+            )
+            for _ in range(count)
+        ]
+
+    def test_matches_solve_per_market(self):
+        # Members start at, near and far from their solutions, so they leave
+        # the stack after different numbers of iterations.
+        rng = np.random.default_rng(40)
+        markets = self._markets(rng, 9)
+        starts = []
+        for n, market in enumerate(markets):
+            solution = solve(market).log_beta
+            offset = (0.0, 1e-6, 2.0)[n % 3]
+            starts.append(solution + rng.uniform(-offset, offset, size=market.size))
+        stack = _solve_stack(*_stack(markets, starts), SolverOptions())
+        assert len(set(stack.iterations.tolist())) >= 3
+        for n, (market, start) in enumerate(zip(markets, starts)):
+            eq = solve(market, start=start)
+            assert stack.iterations[n] == eq.iterations
+            np.testing.assert_allclose(stack.log_beta[n], eq.log_beta, rtol=1e-14, atol=0)
+
+    def test_split_stack_matches_whole(self):
+        # Members do not interact: solving the stack in parts changes no bit.
+        rng = np.random.default_rng(41)
+        markets = self._markets(rng, 7, shape=(5, 2))
+        gains, nu, start = _stack(markets, [initial_guess(m.population) for m in markets])
+        whole = _solve_stack(gains, nu, start, SolverOptions())
+        parts = [
+            _solve_stack(gains[part], nu[part], start[part], SolverOptions())
+            for part in (slice(0, 1), slice(1, 4), slice(4, 7))
+        ]
+        for field in ("log_beta", "residual", "iterations"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(p, field) for p in parts]), getattr(whole, field)
+            )
+
+    @pytest.mark.parametrize(
+        "gains",
+        [
+            [[2.0]],
+            [[0.5, 3.0, 1.0]],
+            [[1.0, 2.0, 0.0], [4.0, 0.5, 1.0], [0.2, 3.0, 2.0]],
+            [[1.0], [3.0], [0.5]],
+            [[0.0, 0.0], [2.0, 1.5], [1.0, 4.0]],
+        ],
+        ids=["1x1", "I<J", "I=J", "I>J", "zero-row"],
+    )
+    def test_objective_trace_monotone(self, gains):
+        # Every accepted step passes the Armijo test, whose right-hand side
+        # exceeds the current objective only by the noise floor 4 eps |obj|.
+        rng = np.random.default_rng(42)
+        market = make_market(gains, np.exp(rng.uniform(0.0, 8.0, size=sum(np.shape(gains)))))
+        start = initial_guess(market.population) + rng.uniform(-3.0, 3.0, size=market.size)
+        eq = solve(market, start=start)
+        trace = np.array(eq.objective_trace)
+        assert trace.size == eq.iterations + 1 > 2
+        assert trace[-1] == eq.objective_value
+        assert np.all(np.diff(trace) <= 4.0 * np.finfo(float).eps * np.abs(trace[:-1]))
+
+    def test_nonconverging_member_named(self):
+        rng = np.random.default_rng(43)
+        markets = self._markets(rng, 3)
+        starts = [solve(m).log_beta for m in markets]
+        starts[1] = initial_guess(markets[1].population) + 2.0
+        failing = r"^member 1: no convergence within 1 iterations"
+        with pytest.raises(ConvergenceError, match=failing) as info:
+            _solve_stack(
+                *_stack(markets, starts),
+                SolverOptions(max_iterations=1),
+                name=lambda m: f"member {m}: ",
+            )
+        with pytest.raises(ConvergenceError) as alone:
+            solve(markets[1], SolverOptions(max_iterations=1), start=starts[1])
+        np.testing.assert_array_equal(info.value.log_beta, alone.value.log_beta)
+        assert info.value.residual_norm == alone.value.residual_norm > 0
+
+    def test_unfactorable_member_named(self):
+        # Pi = 1e150 overflows the reduced Hessian at the first step, while
+        # the other member is well posed; the failing one is named.
+        markets = [make_market([[1.0]], [1.0, 1.0]), make_market([[1e150]], [1.0, 1.0])]
+        failing = r"^member 1: Hessian factorization failed at iteration 1$"
+        with pytest.raises(ConvergenceError, match=failing):
+            _solve_stack(
+                *_stack(markets, [initial_guess(m.population) for m in markets]),
+                SolverOptions(),
+                name=lambda m: f"member {m}: ",
+            )
 
 
 class TestReduceUnpopulated:

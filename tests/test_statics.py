@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from choosiow import (
+    ConvergenceError,
+    SolverOptions,
     finite_difference_check,
     gains_sensitivity,
     marriage_elasticity,
@@ -14,8 +17,9 @@ from choosiow import (
     statics_matrix,
     transfer_analysis,
 )
+from choosiow import statics
 from choosiow.statics import SignCheckResult, _sign_check
-from conftest import dense_hessian, make_market, random_market
+from conftest import dense_hessian, make_market, random_market, reference_finite_difference_check
 
 # Hand-inverted 2x2 from the symmetric 1x1 fixture: D^2 H = [[150,50],[50,150]].
 R_SYMMETRIC = np.array([[0.015, -0.005], [-0.005, 0.015]])
@@ -381,6 +385,45 @@ class TestFiniteDifferenceCheck:
         eq = solve(market)
         report = finite_difference_check(eq, statics_matrix(eq), step=1e-5)
         assert report.max_error < 1e-3
+
+    def test_matches_looped_reference(self):
+        # The stacked re-solves against one public solve per perturbed market;
+        # every third market has Pi_00 = 0, whose lower point is one-sided.
+        rng = np.random.default_rng(30)
+        for n in range(24):
+            shape = tuple(int(x) for x in rng.integers(1, 7, size=2))
+            gains = rng.uniform(0.0, 5.0, size=shape)
+            if n % 3 == 0:
+                gains[0, 0] = 0.0
+            market = make_market(gains, np.exp(rng.uniform(0.0, 8.0, size=sum(shape))))
+            eq = solve(market)
+            report = statics_matrix(eq)
+            stacked = dataclasses.astuple(finite_difference_check(eq, report))
+            reference = dataclasses.astuple(reference_finite_difference_check(eq, report))
+            np.testing.assert_allclose(stacked, reference, rtol=0, atol=1e-9)
+
+    def test_chunked_stack_matches_unsplit(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        market = make_market(rng.uniform(0.0, 5.0, size=(4, 3)), np.exp(rng.uniform(0, 8, size=7)))
+        eq = solve(market)
+        report = statics_matrix(eq)
+        whole = finite_difference_check(eq, report)
+        # 38 re-solves of 12 gains entries each, in chunks of 5
+        monkeypatch.setattr(statics, "_STACK_ELEMENT_BUDGET", 5 * 12)
+        assert finite_difference_check(eq, report) == whole
+
+    def test_failed_resolve_named(self):
+        market = make_market([[1.0, 2.0], [0.5, 3.0]], [40.0, 70.0, 30.0, 90.0])
+        eq = solve(market)
+        with pytest.raises(ConvergenceError, match=r"^re-solve at nu\[m1\] \+ h: no convergence"):
+            finite_difference_check(
+                eq, statics_matrix(eq), step=1e-2, opts=SolverOptions(max_iterations=1)
+            )
+
+    @pytest.mark.parametrize("step", [1.5, -2.0, math.nan])
+    def test_step_leaving_domain_rejected(self, symmetric_1x1_eq, step):
+        with pytest.raises(ValueError, match="finite-difference step"):
+            finite_difference_check(symmetric_1x1_eq, statics_matrix(symmetric_1x1_eq), step=step)
 
 
 class TestMonotonicity:
