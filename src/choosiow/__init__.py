@@ -29,7 +29,6 @@ from .statics import (
     gains_sensitivity,
     marriage_elasticity,
     participation_analysis,
-    spectral_diagnostic,
     statics_matrix,
     transfer_analysis,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "sigma_limit",
     "simulate_choices",
     "solve",
-    "spectral_diagnostic",
     "statics_matrix",
     "transfer_analysis",
     "validate_market",

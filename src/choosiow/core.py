@@ -14,11 +14,11 @@ Market clearing is the first-order condition grad H(b) = nu of the
 strictly convex function b -> H(b) - <nu, b> in log-amplitude space
 b = log(beta).
 
-The Hessian of H is kept in block form, never assembled: its diagonal
-d = grad H + beta^2 and its cross block C = Pi * beta_I beta_J^T.
-Eliminating the larger side leaves the reduced matrix S = D_a - C D_c^-1 C^T
-of order min(I, J) (ReducedHessian), which gives the Newton step and the
-inverse Hessian.
+objective_H alone builds H's value, gradient and Hessian blocks beta^2 and
+C = Pi * beta_I beta_J^T.  The Hessian is never assembled: with diagonal
+d = grad H + beta^2, eliminating the larger side leaves the reduced matrix
+S = D_a - C D_c^-1 C^T of order min(I, J) (ReducedHessian), which gives
+the Newton step, the inverse Hessian and the paper's spectral bound.
 
 All types here are immutable after construction and all operations are
 pure functions.
@@ -226,43 +226,36 @@ def marriage_distribution(beta, gains: GainsMatrix) -> MaritalDistribution:
     )
 
 
-def _amplitudes(b) -> np.ndarray:
-    """beta = e^b, after checking that b is finite and inside the safe range."""
+def objective_H(b, gains: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Value, gradient and Hessian blocks (beta^2, C) of the convex dual potential H.
+
+    H(b) = 1/2 sum_k e^{2 b_k} + sum_ij Pi_ij e^{b_i + b_{I+j}} for b of
+    shape (..., I + J) and gains entries Pi of shape (..., I, J), leading
+    axes being a stack.  The gradient holds the row and column totals of
+    marriage_distribution(e^b), so grad - nu is the market-clearing
+    residual.  The Hessian is [[diag(d_I), C], [C^T, diag(d_J)]] with
+    d = grad + beta^2 and C = Pi * beta_I beta_J^T.  It factors as
+    diag(beta) [[D_I, Pi], [Pi^T, D_J]] diag(beta) with (D_I)_ii = 2 +
+    (sum_j Pi_ij beta_{I+j}) / beta_i (and symmetrically for D_J), hence is
+    symmetric positive definite for every finite b.  A non-finite b raises
+    ValueError, one beyond LOG_AMPLITUDE_BOUND ScalingError.
+    """
     b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("log-amplitudes must be finite")
-    if np.any(np.abs(b) > LOG_AMPLITUDE_BOUND):
+    if not np.abs(b).max() <= LOG_AMPLITUDE_BOUND:  # also when b holds a NaN
+        if not np.isfinite(b).all():
+            raise ValueError("log-amplitudes must be finite")
         raise ScalingError(
             f"log-amplitude magnitude exceeds {LOG_AMPLITUDE_BOUND}; "
             "rescale populations to smaller units"
         )
-    return np.exp(b)
-
-
-def objective_H(b, gains: GainsMatrix) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Value, gradient and Hessian blocks of the convex dual potential H.
-
-    H(b) = 1/2 sum_k e^{2 b_k} + sum_ij Pi_ij e^{b_i + b_{I+j}}.  The
-    gradient holds the row and column totals of marriage_distribution(e^b),
-    so grad - nu is the market-clearing residual.  The Hessian is returned as
-    its diagonal d = grad + beta^2 (length I + J) and its men-by-women cross
-    block C = Pi * beta_I beta_J^T; the full matrix is [[diag(d_I), C],
-    [C^T, diag(d_J)]].  It factors as diag(beta) [[D_I, Pi], [Pi^T, D_J]]
-    diag(beta) with (D_I)_ii = 2 + (sum_j Pi_ij beta_{I+j}) / beta_i (and
-    symmetrically for D_J), hence is symmetric positive definite for every
-    finite b.
-    """
-    beta = _amplitudes(b)
-    n_men = gains.n_male_types
-    men, women = beta[:n_men], beta[n_men:]
-
-    cross = gains.entries * np.outer(men, women)  # Pi_ij beta_i beta_{I+j}
-    value = float(0.5 * np.sum(beta**2) + cross.sum())
-
-    grad = np.empty(beta.size)
-    grad[:n_men] = men**2 + cross.sum(axis=1)
-    grad[n_men:] = women**2 + cross.sum(axis=0)
-    return value, grad, (grad + beta**2, cross)
+    beta = np.exp(b)
+    n_men = gains.shape[-2]
+    beta_sq = beta**2
+    cross = gains * (beta[..., :n_men, None] * beta[..., None, n_men:])
+    grad = np.concatenate((cross.sum(axis=-1), cross.sum(axis=-2)), axis=-1)
+    grad += beta_sq
+    # H is homogeneous of degree 2 in beta, so <grad H(b), 1> = 2 H(b).
+    return 0.5 * grad.sum(axis=-1), grad, (beta_sq, cross)
 
 
 @dataclass(frozen=True)
@@ -281,9 +274,22 @@ class ReducedHessian:
 
     s: np.ndarray  # reduced matrix, order min(I, J)
     k: np.ndarray  # K = C_ac D_c^-1, shape (n_a, n_c)
+    d_a: np.ndarray  # diagonal of the kept side
     d_c: np.ndarray  # diagonal of the eliminated side
     a: slice  # positions of side a in [men | women] order
     c: slice  # positions of side c
+
+    def spectral_radius(self) -> np.ndarray:
+        """Top eigenvalue of d_a^-1/2 (D_a - S) d_a^-1/2, i.e. of d_a^-1/2 K C_ac^T d_a^-1/2.
+
+        At an equilibrium d = nu + beta^2 up to the stopping tolerance, so
+        this is the paper's lambda_max, that of D_I^-1 Pi D_J^-1 Pi^T with
+        (D)_kk = 1 + nu_k / beta_k^2; it is exactly 0 for zero gains.
+        """
+        off = -self.s
+        _diagonal(off)[...] += self.d_a
+        root = np.sqrt(self.d_a)
+        return np.linalg.eigvalsh(off / root[..., :, None] / root[..., None, :])[..., -1]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with H x = rhs, by S x_a = r_a - K r_c and x_c = r_c / d_c - K^T x_a."""
@@ -318,9 +324,9 @@ def _diagonal(stack: np.ndarray) -> np.ndarray:
 
 
 def reduce_hessian(diag: np.ndarray, cross: np.ndarray) -> ReducedHessian:
-    """Eliminate the larger side of the Hessian given as objective_H's blocks.
+    """Eliminate the larger side of the Hessian with diagonal diag and cross block C.
 
-    diag has shape (..., I + J) and cross (..., I, J).  Raises
+    diag = grad + beta^2 has shape (..., I + J) and cross (..., I, J).  Raises
     numpy.linalg.LinAlgError when S is not finite or not positive definite,
     i.e. when the Hessian cannot be factored; for a stack, when that holds
     for any member.
@@ -331,11 +337,11 @@ def reduce_hessian(diag: np.ndarray, cross: np.ndarray) -> ReducedHessian:
         a, c, c_ac = slice(0, n_men), slice(n_men, n), cross
     else:
         a, c, c_ac = slice(n_men, n), slice(0, n_men), _transpose(cross)
-    d_c = diag[..., c]
+    d_a, d_c = diag[..., a], diag[..., c]
     k = c_ac / d_c[..., None, :]
     s = -(k @ _transpose(c_ac))
-    _diagonal(s)[...] += diag[..., a]
+    _diagonal(s)[...] += d_a
     if not np.isfinite(s).all():
         raise np.linalg.LinAlgError("reduced Hessian is not finite")
     np.linalg.cholesky(s)  # raises LinAlgError unless S is positive definite
-    return ReducedHessian(s=s, k=k, d_c=d_c, a=a, c=c)
+    return ReducedHessian(s=s, k=k, d_a=d_a, d_c=d_c, a=a, c=c)

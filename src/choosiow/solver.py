@@ -2,11 +2,13 @@
 
 The equilibrium amplitudes are the unique minimizer of the smooth strictly
 convex function b -> H(b) - <nu, b> over log-amplitudes b.  The Hessian of
-H is available in closed form and is symmetric positive definite.  Each
-step solves the Newton system through the reduced matrix S of order
-min(I, J) (core.ReducedHessian), whose Cholesky factorisation checks
-positive definiteness, then backtracks on the value of H alone (Armijo);
-strict convexity makes the iteration globally convergent.
+H is available in closed form and is symmetric positive definite.  At
+each accepted point, core.objective_H gives the gradient and Hessian
+blocks.  The step solves the Newton system through the reduced matrix S
+of order min(I, J) (core.ReducedHessian), whose Cholesky factorisation
+checks positive definiteness, then backtracks (Armijo) on the exact
+decrease along the step, built from the same blocks; strict convexity
+makes the iteration globally convergent.
 
 One loop (_solve_stack) runs this iteration on a stack of equal-shape
 markets at once, with batched factorisations and a per-market line search;
@@ -18,6 +20,8 @@ stacks.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -29,8 +33,8 @@ from .core import (
     MaritalDistribution,
     PopulationVector,
     ValidatedMarket,
-    _amplitudes,
     marriage_distribution,
+    objective_H,
     reduce_hessian,
     validate_market,
 )
@@ -50,7 +54,6 @@ ARMIJO_CONSTANT = 1e-4
 # Cap on the Newton step in b-space; e^{2b} curvature explodes, so small
 # steps suffice even for extreme inputs.
 STEP_CAP = 10.0
-_NOISE = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,9 @@ class SolverOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if not self.gradient_tolerance > 0:
-            raise ValueError("gradient_tolerance must be positive")
-        if self.max_iterations < 1:
+        if not 0 < self.gradient_tolerance < math.inf:
+            raise ValueError("gradient_tolerance must be positive and finite")
+        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 1):
             raise ValueError("max_iterations must be a positive integer")
 
 
@@ -72,7 +75,8 @@ class Equilibrium:
     beta and log_beta (beta = e^log_beta) are read-only arrays in
     [men | women] order.
     objective_value is the final H(b) - <nu, b>, i.e. minus the Legendre
-    transform of H evaluated at nu.
+    transform of H evaluated at nu: the starting value plus the exact
+    decreases of the accepted steps, whose partial sums are objective_trace.
     """
 
     beta: np.ndarray
@@ -98,14 +102,16 @@ def solve(
     """Find the unique positive equilibrium of a validated market.
 
     Newton steps solve the SPD Hessian system through its reduced matrix,
-    with Armijo backtracking on the objective value; the objective
-    decreases monotonically (up to rounding) and the iteration stops once
-    every component of the clearing residual (the gradient, in persons)
-    drops below gradient_tolerance * nu_k, a test that does not depend on
-    the units of nu.
+    with Armijo backtracking on the exact decrease of the objective, which
+    therefore decreases monotonically; the iteration stops once every
+    component of the clearing residual (the gradient, in persons) drops
+    below gradient_tolerance * nu_k, a test that does not depend on the
+    units of nu.  A start must have shape (I+J,).
     """
     nu = market.population.counts
     b = initial_guess(market.population) if start is None else np.array(start, dtype=float)
+    if b.shape != nu.shape:
+        raise ValueError(f"start has shape {b.shape}, expected ({nu.size},)")
     stack = _solve_stack(market.gains.entries[None], nu[None], b[None], opts)
     iterations = int(stack.iterations[0])
     # Every accepted b passed the range check, so beta is positive and finite.
@@ -146,22 +152,21 @@ def _solve_stack(
 
     gains has shape (B, I, J), nu and start (B, I+J).  Each member follows
     exactly the iteration solve describes: a Newton step through the reduced
-    Hessian, capped at STEP_CAP, then Armijo backtracking with a noise
-    floor; members leave the stack as they converge.  A failure raises
-    ConvergenceError for the first failing member, whose message starts
-    with name(member index).
+    Hessian, capped at STEP_CAP, then Armijo backtracking on the exact
+    decrease (_decrease); members leave the stack as they converge.  A
+    failure raises ConvergenceError for the first failing member, whose
+    message starts with name(member index).
     """
-    n_men = gains.shape[1]
-    _amplitudes(start)  # a non-finite or out-of-range start raises here
     b = np.array(start, dtype=float)
+    # A non-finite or out-of-range start raises here.
+    value, h_grad, (beta_sq, cross) = objective_H(b, gains)
     tol = opts.gradient_tolerance * nu
-    beta, obj = _objective(gains, nu, b, n_men)
 
     count = b.shape[0]
     log_beta_out = np.empty(b.shape)
     residual_out = np.empty(b.shape)
     iterations_out = np.empty(count, dtype=int)
-    obj_out = obj.copy()
+    obj_out = value - (nu[:, None, :] @ b[:, :, None])[:, 0, 0]
     history = [obj_out.copy()]
     idx = np.arange(count)  # stack position of each active member
     iterations = 0
@@ -172,12 +177,6 @@ def _solve_stack(
         )
 
     while True:
-        # Gradient and Hessian blocks at the accepted point, from its amplitudes.
-        men, women = beta[:, :n_men], beta[:, n_men:]
-        cross = gains * (men[:, :, None] * women[:, None, :])
-        h_grad = np.empty(b.shape)
-        h_grad[:, :n_men] = men**2 + cross.sum(axis=2)
-        h_grad[:, n_men:] = women**2 + cross.sum(axis=1)
         grad = h_grad - nu
         done = (np.abs(grad) <= tol).all(axis=1)
         n_done = np.count_nonzero(done)
@@ -188,8 +187,8 @@ def _solve_stack(
             if n_done == done.size:
                 break
             keep = ~done
-            idx, gains, nu, tol, b, beta, cross, obj, grad, h_grad = (
-                x[keep] for x in (idx, gains, nu, tol, b, beta, cross, obj, grad, h_grad)
+            idx, gains, nu, tol, b, beta_sq, cross, grad, h_grad = (
+                x[keep] for x in (idx, gains, nu, tol, b, beta_sq, cross, grad, h_grad)
             )
         if iterations == opts.max_iterations:
             raise fail(
@@ -199,7 +198,7 @@ def _solve_stack(
             )
         iterations += 1
 
-        diag = h_grad + beta**2
+        diag = h_grad + beta_sq
         try:
             step = reduce_hessian(diag, cross).solve(-grad)
         except np.linalg.LinAlgError as exc:
@@ -212,12 +211,8 @@ def _solve_stack(
             step[capped] *= (STEP_CAP / cap[capped])[:, None]
 
         slope = (grad[:, None, :] @ step[:, :, None])[:, 0, 0]
-        # Near the minimum the objective comparison is noise limited; allow the
-        # line search to accept steps within rounding error of the current value.
-        floor = _NOISE * np.abs(obj)
-        trial = b + step
-        beta, trial_obj = _objective(gains, nu, trial, n_men)
-        accept = trial_obj <= obj + ARMIJO_CONSTANT * slope + floor  # t = 1
+        trial, delta = _decrease(b, step, nu, h_grad, beta_sq, cross)
+        accept = delta <= ARMIJO_CONSTANT * slope  # t = 1
         t = None
         while np.count_nonzero(accept) < accept.size:
             if t is None:
@@ -231,37 +226,50 @@ def _solve_stack(
                     int(np.flatnonzero(t < 1e-14)[0]),
                     f"line search failed at iteration {iterations}",
                 )
-            trial[p] = b[p] + t[p, None] * step[p]
-            beta[p], trial_obj[p] = _objective(gains[p], nu[p], trial[p], n_men)
-            accept[p] = trial_obj[p] <= obj[p] + (ARMIJO_CONSTANT * t[p]) * slope[p] + floor[p]
-        b, obj = trial, trial_obj
-        obj_out[idx] = obj
+            trial[p], delta[p] = _decrease(
+                b[p], t[p, None] * step[p], nu[p], h_grad[p], beta_sq[p], cross[p]
+            )
+            accept[p] = delta[p] <= (ARMIJO_CONSTANT * t[p]) * slope[p]
+        b = trial
+        _, h_grad, (beta_sq, cross) = objective_H(b, gains)
+        obj_out[idx] += delta
         history.append(obj_out.copy())
 
     return _StackSolution(log_beta_out, residual_out, iterations_out, np.array(history))
 
 
-def _objective(
-    gains: np.ndarray, nu: np.ndarray, b: np.ndarray, n_men: int
+def _decrease(
+    b: np.ndarray,
+    d: np.ndarray,
+    nu: np.ndarray,
+    h_grad: np.ndarray,
+    beta_sq: np.ndarray,
+    cross: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """beta = e^b and H(b) - <nu, b> for a stack of log-amplitudes.
+    """Trial points b + d and the exact change F(b + d) - F(b) of F = H - <nu, .>.
 
-    The objective is +inf for members whose log-amplitudes leave the safe
-    range, so that the line search shortens such a step.
+    From objective_H's gradient and blocks at b, stacked: with u = expm1(d),
+    H(b + d) - H(b) = sum_k u_k (grad_k + beta_k^2 u_k / 2) + u_I^T C u_J,
+    whose rounding scales with the decrease, not with H.  The change is +inf
+    where the trial point leaves the safe range, so that the line search
+    shortens such a step.
     """
-    in_range = (np.abs(b) <= LOG_AMPLITUDE_BOUND).all(axis=1)
-    all_in_range = np.count_nonzero(in_range) == in_range.size
-    beta = np.exp(b if all_in_range else np.where(in_range[:, None], b, 0.0))
-    # H(b) = 1/2 |beta|^2 + beta_I^T Pi beta_J, as matrix-vector products.
-    row = beta[:, None, :]
-    obj = (
-        0.5 * (row @ beta[:, :, None])
-        + row[:, :, :n_men] @ gains @ beta[:, n_men:, None]
-        - nu[:, None, :] @ b[:, :, None]
+    trial = b + d
+    all_in_range = np.abs(trial).max() <= LOG_AMPLITUDE_BOUND  # False for a NaN
+    if not all_in_range:
+        in_range = (np.abs(trial) <= LOG_AMPLITUDE_BOUND).all(axis=1)
+        d = np.where(in_range[:, None], d, 0.0)
+    u = np.expm1(d)
+    n_men = cross.shape[1]
+    row = u[:, None, :]
+    delta = (
+        row @ (h_grad + 0.5 * beta_sq * u)[:, :, None]
+        + row[:, :, :n_men] @ cross @ u[:, n_men:, None]
+        - nu[:, None, :] @ d[:, :, None]
     )[:, 0, 0]
     if not all_in_range:
-        obj[~in_range] = np.inf
-    return beta, obj
+        delta[~in_range] = np.inf
+    return trial, delta
 
 
 def _unfactorable(diag: np.ndarray, cross: np.ndarray) -> int:

@@ -5,12 +5,13 @@ Everything here flows from the substitution matrix
     r_kl = (1 / beta_k^2) d(beta_k^2)/d(nu_l) = 2 * (D^2 H)^{-1}_kl,
 
 evaluated at the equilibrium log-amplitudes.  R is built block by block
-from the reduced matrix S of order min(I, J) (core.ReducedHessian); the
-(I+J)^2 Hessian is never assembled.  R is symmetric positive definite;
-with a gains matrix that has no vanishing row or column it also has a
-strict sign pattern (same-sex entries positive, cross-sex entries
-negative) and a spectral certificate lambda_max < 1 for the associated
-non-negative operator, computed by eigvalsh on the smaller side.  All
+from the reduced matrix S of order min(I, J) (core.ReducedHessian) of
+core.objective_H's blocks; the (I+J)^2 Hessian is never assembled.  R is
+symmetric positive definite; with a gains matrix that has no vanishing
+row or column it also has a strict sign pattern (same-sex entries
+positive, cross-sex entries negative) and a spectral certificate
+lambda_max < 1 for the associated non-negative operator, read from the
+same reduced Hessian.  All
 derivatives can be cross-checked against a brute-force re-solve oracle
 (finite_difference_check), whose 2(I+J) + 2IJ perturbed markets are solved
 together as stacks by the solver's batched Newton loop, each stack holding
@@ -123,33 +124,30 @@ class GainsSensitivity:
 
 
 def statics_matrix(eq: Equilibrium) -> StaticsReport:
-    """Compute the substitution matrix R = 2 (D^2 H)^{-1} and companions."""
-    _, _, hess = objective_H(eq.log_beta, eq.market.gains)
+    """R = 2 (D^2 H)^{-1} and companions, from one reduced Hessian at eq.log_beta."""
+    _, grad, (beta_sq, cross) = objective_H(eq.log_beta, eq.market.gains.entries)
     try:
-        r = 2.0 * reduce_hessian(*hess).inverse()
+        hess = reduce_hessian(grad + beta_sq, cross)
     except np.linalg.LinAlgError as exc:
         raise ValueError("equilibrium Hessian is not positive definite") from exc
+    r = 2.0 * hess.inverse()
+    lam = float(hess.spectral_radius())
 
-    beta = eq.beta
     nu = eq.market.population.counts
     n_men = eq.market.n_male_types
     n_women = eq.market.n_female_types
-    d_beta = 0.5 * beta[:, None] * r
-
-    lam, spectral_ok = spectral_diagnostic(eq)
-    report = StaticsReport(
+    return StaticsReport(
         r_matrix=r,
-        d_beta=d_beta,
+        d_beta=0.5 * eq.beta[:, None] * r,
         spectral_radius=lam,
-        spectral_pass=spectral_ok,
-        sign_check=_sign_check(r, beta**2, nu, n_men, n_women, eq.market.degenerate),
+        spectral_pass=lam < 1.0,
+        sign_check=_sign_check(r, beta_sq, nu, n_men, n_women, eq.market.degenerate),
         conjecture=_conjecture(r, n_men, n_women),
-        beta_sq=beta**2,
+        beta_sq=beta_sq,
         nu=nu,
         n_male_types=n_men,
         n_female_types=n_women,
     )
-    return report
 
 
 def _sign_check(
@@ -280,26 +278,6 @@ def participation_analysis(eq: Equilibrium, report: StaticsReport) -> Participat
         strict=bool(np.all(own > 0)),
         boundary=eq.market.degenerate,
     )
-
-
-def spectral_diagnostic(eq: Equilibrium) -> tuple[float, bool]:
-    """Perron root of the non-negative operator certifying the sign pattern.
-
-    A = D_I^{-1} Pi D_J^{-1} Pi^T with diagonal entries d_k = 1 + nu_k / beta_k^2.
-    Its non-zero spectrum equals that of the partner product on the other
-    side, so the largest eigenvalue is taken by eigvalsh of the symmetric
-    form D_a^{-1/2} Pi_ac D_c^{-1} Pi_ac^T D_a^{-1/2} on the side a with
-    fewer types; the certified bound is lambda_max < 1.
-    """
-    market = eq.market
-    n_men = market.n_male_types
-    d = 1.0 + market.population.counts / eq.beta**2
-    pi, d_a, d_c = market.gains.entries, d[:n_men], d[n_men:]
-    if n_men > market.n_female_types:
-        pi, d_a, d_c = pi.T, d_c, d_a
-    scaled = pi / np.sqrt(d_a)[:, None] / np.sqrt(d_c)[None, :]
-    lam = float(np.linalg.eigvalsh(scaled @ scaled.T)[-1])
-    return lam, lam < 1.0
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from choosiow import (
     ValidatedMarket,
     gains_sensitivity,
     marriage_elasticity,
+    objective_H,
     participation_analysis,
     solve,
     transfer_analysis,
@@ -23,8 +24,14 @@ def make_market(gains, populations) -> ValidatedMarket:
     )
 
 
+def hessian_blocks(b, gains) -> tuple[np.ndarray, np.ndarray]:
+    """The Hessian's diagonal grad + beta^2 and cross block C, from objective_H."""
+    _, grad, (beta_sq, cross) = objective_H(b, gains)
+    return grad + beta_sq, cross
+
+
 def dense_hessian(blocks) -> np.ndarray:
-    """Assemble [[diag(d_I), C], [C^T, diag(d_J)]] from objective_H's Hessian blocks."""
+    """Assemble [[diag(d_I), C], [C^T, diag(d_J)]] from hessian_blocks' output."""
     diag, cross = blocks
     n_men = cross.shape[0]
     hess = np.diag(diag)

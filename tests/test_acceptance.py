@@ -25,7 +25,6 @@ from choosiow import (
     sigma_limit,
     simulate_choices,
     solve,
-    spectral_diagnostic,
     statics_matrix,
     transfer_analysis,
 )
@@ -200,9 +199,10 @@ def test_criterion_06_monotone_transfers_participation(suite, suite_statics):
 def test_criterion_07_spectral_bound(suite, symmetric_1x1):
     below_one = True
     for eq in suite["equilibria"]:
-        lam, ok_instance = spectral_diagnostic(eq)
+        report = statics_matrix(eq)
+        lam, ok_instance = report.spectral_radius, report.spectral_pass
         below_one &= ok_instance and lam < 1.0
-    lam_fixture, _ = spectral_diagnostic(solve(symmetric_1x1))
+    lam_fixture = statics_matrix(solve(symmetric_1x1)).spectral_radius
     fixture_ok = abs(lam_fixture - 1.0 / 9.0) <= 1e-10
     ok = below_one and fixture_ok
     _report(7, "spectral bound below one", ok, f"1x1 fixture {lam_fixture:.12f}")

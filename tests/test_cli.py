@@ -160,6 +160,14 @@ class TestSolveCommand:
         assert main(["solve", "--input", "/does/not/exist"]) == EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
+    def test_infinite_tolerance_is_input_error(self, tmp_path, capsys):
+        # Accepting it would print the starting point as the equilibrium.
+        market = write_market(tmp_path, SYMMETRIC_MARKET)
+        assert main(["solve", "--input", str(market), "--tolerance", "inf"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "gradient_tolerance" in captured.err
+        assert captured.out == ""
+
     def test_report_round_trips(self, tmp_path):
         market = write_market(tmp_path, SYMMETRIC_MARKET)
         out = tmp_path / "report.json"

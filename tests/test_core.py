@@ -15,8 +15,8 @@ from choosiow import (
     statics_matrix,
 )
 from choosiow.core import reduce_hessian
-from choosiow.solver import _objective
-from conftest import dense_hessian, make_market
+from choosiow.solver import _decrease
+from conftest import dense_hessian, hessian_blocks, make_market
 
 
 def clearing_gap(beta, market) -> np.ndarray:
@@ -28,13 +28,12 @@ def clearing_gap(beta, market) -> np.ndarray:
 
 def gradient_gap(b, market) -> np.ndarray:
     """grad H(b) - nu, the clearing residual in log-amplitude space."""
-    return objective_H(b, market.gains)[1] - market.population.counts
+    return objective_H(b, market.gains.entries)[1] - market.population.counts
 
 
 def objective(b, market) -> float:
-    """The solver's objective H(b) - <nu, b>, as its line search evaluates it."""
-    stack = (market.gains.entries[None], market.population.counts[None], np.asarray(b)[None])
-    return float(_objective(*stack, market.n_male_types)[1][0])
+    """The solver's objective H(b) - <nu, b>, from objective_H's value."""
+    return float(objective_H(b, market.gains.entries)[0] - market.population.counts @ b)
 
 
 class TestValidateMarket:
@@ -146,25 +145,25 @@ class TestObjectiveH:
     def test_hessian_at_symmetric_solution(self):
         gains = GainsMatrix([[1.0]])
         b = np.full(2, 0.5 * math.log(50.0))
-        hess = dense_hessian(objective_H(b, gains)[2])
+        hess = dense_hessian(hessian_blocks(b, gains.entries))
         np.testing.assert_allclose(hess, [[150.0, 50.0], [50.0, 150.0]])
 
     def test_zero_gains_decoupled(self):
         gains = GainsMatrix(np.zeros((2, 2)))
         b = np.array([0.1, -0.3, 0.7, 0.0])
-        hess = dense_hessian(objective_H(b, gains)[2])
+        hess = dense_hessian(hessian_blocks(b, gains.entries))
         np.testing.assert_allclose(hess, np.diag(2.0 * np.exp(2.0 * b)))
 
     def test_value_and_gradient_at_origin(self):
         gains = GainsMatrix([[1.0]])
-        value, grad, _ = objective_H(np.zeros(2), gains)
+        value, grad, _ = objective_H(np.zeros(2), gains.entries)
         assert value == pytest.approx(2.0)
         np.testing.assert_allclose(grad, [2.0, 2.0])
 
     def test_scaling_guard(self):
         gains = GainsMatrix([[1.0]])
         with pytest.raises(ScalingError):
-            objective_H(np.array([400.0, 0.0]), gains)
+            objective_H(np.array([400.0, 0.0]), gains.entries)
 
 
 class TestCoreIdentities:
@@ -189,35 +188,39 @@ class TestCoreIdentities:
             np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
 
     def test_E_equals_H_minus_inner_product(self):
-        # E from the line search's value-only evaluation against objective_H's
-        # value: two separate implementations of H.
+        # The change of E along a step, from the line search's exact decrease
+        # and from the difference of two objective_H values: two separate
+        # implementations of H.
         rng = np.random.default_rng(8)
         for _ in range(25):
             market, b = self._random_case(rng)
-            value, _, _ = objective_H(b, market.gains)
-            lhs = objective(b, market)
-            rhs = value - market.population.counts @ b
+            step = rng.uniform(-1, 1, size=b.size)
+            _, h_grad, (beta_sq, cross) = objective_H(b, market.gains.entries)
+            nu = market.population.counts
+            _, delta = _decrease(b[None], step[None], nu[None], h_grad[None], beta_sq[None], cross[None])
+            lhs = float(delta[0])
+            rhs = objective(b + step, market) - objective(b, market)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_hessian_spd_via_cholesky(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
             market, b = self._random_case(rng)
-            hess = dense_hessian(objective_H(b, market.gains)[2])
+            hess = dense_hessian(hessian_blocks(b, market.gains.entries))
             np.testing.assert_allclose(hess, hess.T, rtol=1e-12)
             np.linalg.cholesky(hess)  # raises if not positive definite
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         market, b = self._random_case(rng)
-        _, grad, blocks = objective_H(b, market.gains)
-        hess = dense_hessian(blocks)
+        _, grad, _ = objective_H(b, market.gains.entries)
+        hess = dense_hessian(hessian_blocks(b, market.gains.entries))
         h = 1e-6
         for k in range(b.size):
             e = np.zeros_like(b)
             e[k] = h
-            v_hi, g_hi, _ = objective_H(b + e, market.gains)
-            v_lo, g_lo, _ = objective_H(b - e, market.gains)
+            v_hi, g_hi, _ = objective_H(b + e, market.gains.entries)
+            v_lo, g_lo, _ = objective_H(b - e, market.gains.entries)
             fd_grad = (v_hi - v_lo) / (2 * h)
             assert fd_grad == pytest.approx(grad[k], rel=1e-6)
             fd_hess_col = (g_hi - g_lo) / (2 * h)
@@ -241,7 +244,8 @@ class TestReducedHessian:
     def test_newton_step_matches_dense_solve(self):
         rng = np.random.default_rng(11)
         for market, b in self._cases(rng):
-            _, grad, blocks = objective_H(b, market.gains)
+            _, grad, _ = objective_H(b, market.gains.entries)
+            blocks = hessian_blocks(b, market.gains.entries)
             rhs = market.population.counts - grad
             step = reduce_hessian(*blocks).solve(rhs)
             dense = np.linalg.solve(dense_hessian(blocks), rhs)
@@ -250,7 +254,7 @@ class TestReducedHessian:
     def test_inverse_matches_dense_inverse(self):
         rng = np.random.default_rng(12)
         for market, b in self._cases(rng):
-            blocks = objective_H(b, market.gains)[2]
+            blocks = hessian_blocks(b, market.gains.entries)
             inverse = reduce_hessian(*blocks).inverse()
             dense = np.linalg.inv(dense_hessian(blocks))
             np.testing.assert_allclose(
@@ -270,7 +274,7 @@ class TestReducedHessian:
             rng.uniform(0, 5, size=shape), np.exp(rng.uniform(0, 8, size=sum(shape)))
         )
         points = rng.uniform(-2, 4, size=(4, market.size))
-        blocks = [objective_H(b, market.gains)[2] for b in points]
+        blocks = [hessian_blocks(b, market.gains.entries) for b in points]
         rhs = rng.uniform(-1, 1, size=points.shape)
         diag, cross = (np.stack(arrays) for arrays in zip(*blocks))
         stacked = reduce_hessian(diag, cross)

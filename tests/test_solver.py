@@ -16,7 +16,7 @@ from choosiow import (
     solve,
 )
 from choosiow.core import LOG_AMPLITUDE_BOUND
-from choosiow.solver import _objective, _solve_stack
+from choosiow.solver import _decrease, _solve_stack
 from conftest import make_market, random_market
 
 
@@ -113,7 +113,7 @@ class TestSolve:
         for scale in (1.0, 0.3, 0.05):
             for _ in range(200):
                 b = eq.log_beta + rng.uniform(-scale, scale, size=market.size)
-                value, _, _ = objective_H(b, market.gains)
+                value, _, _ = objective_H(b, market.gains.entries)
                 candidate = nu @ b - value
                 assert candidate <= best + 1e-8 * (1.0 + abs(best))
 
@@ -150,17 +150,37 @@ class TestSolve:
         with pytest.raises(ScalingError):
             solve(symmetric_1x1, start=[0.0, LOG_AMPLITUDE_BOUND + 1.0])
 
+    @pytest.mark.parametrize("shape", [(1,), (3,), (1, 2)], ids=["short", "long", "2-D"])
+    def test_start_shape_checked(self, symmetric_1x1, shape):
+        with pytest.raises(ValueError, match=r"expected \(2,\)"):
+            solve(symmetric_1x1, start=np.zeros(shape))
+
     def test_out_of_range_trial_is_infinitely_bad(self):
-        # The line search sees +inf for a member outside the safe range, and
-        # the value H(b) - <nu, b> for the others.
+        # The line search sees +inf for a member whose trial point leaves the
+        # safe range, and the change of H(b) - <nu, b> for the others.
         gains = np.array([[[2.0]], [[2.0]]])
         nu = np.array([[3.0, 5.0], [3.0, 5.0]])
-        b = np.array([[0.5, -0.25], [0.5, LOG_AMPLITUDE_BOUND + 1.0]])
-        beta, obj = _objective(gains, nu, b, 1)
-        expected = 0.5 * (np.exp(1.0) + np.exp(-0.5)) + 2.0 * np.exp(0.25) - (1.5 - 1.25)
-        assert obj[0] == pytest.approx(expected, rel=1e-15)
-        assert obj[1] == np.inf
-        np.testing.assert_array_equal(beta[0], np.exp(b[0]))
+        b = np.zeros((2, 2))
+        step = np.array([[0.5, -0.25], [0.5, LOG_AMPLITUDE_BOUND + 1.0]])
+        _, h_grad, (beta_sq, cross) = objective_H(b, gains)
+        trial, delta = _decrease(b, step, nu, h_grad, beta_sq, cross)
+        expected = 0.5 * (np.expm1(1.0) + np.expm1(-0.5)) + 2.0 * np.expm1(0.25) - (1.5 - 1.25)
+        assert delta[0] == pytest.approx(expected, rel=1e-15)
+        assert delta[1] == np.inf
+        np.testing.assert_array_equal(trial[0], step[0])
+
+    def test_seed_7_market_converges(self):
+        # Gains U(0, 5) and populations log-uniform on [1, 1e6] drawn from
+        # np.random.default_rng([7, 1]).  Its objective, about -1.48, is the
+        # difference of H = 9.16 and <nu, b> = 10.64, whose rounding hides the
+        # last steps' decrease: a line search comparing objective values
+        # stalled here at a residual norm of 8.3e-10 after 200 iterations.
+        gains = [[float.fromhex("0x1.ece3e4b6acf76p+1")]]
+        nu = [float.fromhex("0x1.2c6e1aec2037ap+2"), float.fromhex("0x1.b4403dc230203p+3")]
+        market = make_market(gains, nu)
+        eq = solve(market)
+        assert eq.distribution.clears(market.population, tol=1e-9)
+        assert np.all(np.diff(eq.objective_trace) <= 0.0)
 
     def test_nonconvergence_reported(self, symmetric_1x1):
         with pytest.raises(ConvergenceError) as info:
@@ -172,6 +192,17 @@ class TestSolve:
             SolverOptions(gradient_tolerance=0.0)
         with pytest.raises(ValueError):
             SolverOptions(max_iterations=0)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"gradient_tolerance": np.inf}, {"gradient_tolerance": np.nan}, {"max_iterations": 2.5}],
+        ids=["inf-tolerance", "nan-tolerance", "fractional-cap"],
+    )
+    def test_options_reject_non_finite_tolerance_and_fractional_cap(self, options):
+        # An infinite tolerance accepts any start as the equilibrium, and a
+        # fractional cap is never equal to the iteration count.
+        with pytest.raises(ValueError):
+            SolverOptions(**options)
 
 
 def _stack(markets, starts):
@@ -236,8 +267,8 @@ class TestSolveStack:
         ids=["1x1", "I<J", "I=J", "I>J", "zero-row"],
     )
     def test_objective_trace_monotone(self, gains):
-        # Every accepted step passes the Armijo test, whose right-hand side
-        # exceeds the current objective only by the noise floor 4 eps |obj|.
+        # Every accepted step passes the Armijo test on its exact decrease,
+        # which is negative, and the trace adds these decreases to the start.
         rng = np.random.default_rng(42)
         market = make_market(gains, np.exp(rng.uniform(0.0, 8.0, size=sum(np.shape(gains)))))
         start = initial_guess(market.population) + rng.uniform(-3.0, 3.0, size=market.size)

@@ -10,16 +10,20 @@ from choosiow import (
     finite_difference_check,
     gains_sensitivity,
     marriage_elasticity,
-    objective_H,
     participation_analysis,
     solve,
-    spectral_diagnostic,
     statics_matrix,
     transfer_analysis,
 )
 from choosiow import statics
 from choosiow.statics import SignCheckResult, _sign_check
-from conftest import dense_hessian, make_market, random_market, reference_finite_difference_check
+from conftest import (
+    dense_hessian,
+    hessian_blocks,
+    make_market,
+    random_market,
+    reference_finite_difference_check,
+)
 
 # Hand-inverted 2x2 from the symmetric 1x1 fixture: D^2 H = [[150,50],[50,150]].
 R_SYMMETRIC = np.array([[0.015, -0.005], [-0.005, 0.015]])
@@ -43,7 +47,7 @@ class TestStaticsMatrix:
             market = random_market(rng, max_types=6)
             eq = solve(market)
             report = statics_matrix(eq)
-            hess = dense_hessian(objective_H(eq.log_beta, market.gains)[2])
+            hess = dense_hessian(hessian_blocks(eq.log_beta, market.gains.entries))
             np.testing.assert_allclose(
                 report.r_matrix @ hess / 2.0, np.eye(market.size), atol=1e-9
             )
@@ -57,7 +61,9 @@ class TestStaticsMatrix:
                 rng.uniform(0, 5, size=shape), np.exp(rng.uniform(0, 10, size=sum(shape)))
             )
             eq = solve(market)
-            dense = 2.0 * np.linalg.inv(dense_hessian(objective_H(eq.log_beta, market.gains)[2]))
+            dense = 2.0 * np.linalg.inv(
+                dense_hessian(hessian_blocks(eq.log_beta, market.gains.entries))
+            )
             np.testing.assert_allclose(
                 statics_matrix(eq).r_matrix, dense, rtol=0, atol=1e-12 * np.max(np.abs(dense))
             )
@@ -312,26 +318,29 @@ class TestParticipation:
 
 class TestSpectralDiagnostic:
     def test_symmetric_fixture_is_one_ninth(self, symmetric_1x1_eq):
-        lam, ok = spectral_diagnostic(symmetric_1x1_eq)
+        report = statics_matrix(symmetric_1x1_eq)
+        lam, ok = report.spectral_radius, report.spectral_pass
         assert lam == pytest.approx(1.0 / 9.0, abs=1e-10)
         assert ok
 
     def test_zero_gains(self):
         market = make_market(np.zeros((2, 2)), [1.0, 2.0, 3.0, 4.0])
-        lam, ok = spectral_diagnostic(solve(market))
+        report = statics_matrix(solve(market))
+        lam, ok = report.spectral_radius, report.spectral_pass
         assert lam == 0.0
         assert ok
 
     def test_below_one_randomized(self):
         rng = np.random.default_rng(24)
         for _ in range(10):
-            lam, ok = spectral_diagnostic(solve(random_market(rng, max_types=8)))
+            report = statics_matrix(solve(random_market(rng, max_types=8)))
+            lam, ok = report.spectral_radius, report.spectral_pass
             assert ok and 0.0 <= lam < 1.0
 
     def test_matches_dense_eigenvalues(self):
         rng = np.random.default_rng(25)
         eq = solve(random_market(rng, max_types=6))
-        lam, _ = spectral_diagnostic(eq)
+        lam = statics_matrix(eq).spectral_radius
         n_men = eq.market.n_male_types
         beta_sq = eq.beta**2
         nu = eq.market.population.counts
