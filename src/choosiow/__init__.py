@@ -9,7 +9,6 @@ from .core import (
     ScalingError,
     ValidatedMarket,
     marriage_distribution,
-    objective_H,
     validate_market,
 )
 from .solver import (
@@ -17,7 +16,6 @@ from .solver import (
     Equilibrium,
     IndexMap,
     SolverOptions,
-    initial_guess,
     reduce_unpopulated,
     solve,
 )
@@ -62,10 +60,8 @@ __all__ = [
     "finite_difference_check",
     "gains_sensitivity",
     "gumbel_sample",
-    "initial_guess",
     "marriage_distribution",
     "marriage_elasticity",
-    "objective_H",
     "participation_analysis",
     "reduce_unpopulated",
     "sigma_limit",

@@ -120,15 +120,15 @@ def _equilibrium_block(eq: Equilibrium, index_map: IndexMap) -> dict:
     return block
 
 
-def _statics_blocks(eq: Equilibrium, report: StaticsReport) -> dict:
-    participation = participation_analysis(eq, report)
-    sensitivity = gains_sensitivity(eq, report)
+def _statics_blocks(report: StaticsReport) -> dict:
+    market = report.equilibrium.market
+    participation = participation_analysis(report)
     return {
-        "types": list(eq.market.gains.row_labels) + list(eq.market.gains.col_labels),
+        "types": list(market.gains.row_labels) + list(market.gains.col_labels),
         "r_matrix": _listify(report.r_matrix),
         "d_beta": _listify(report.d_beta),
-        "gains_sensitivity": _listify(sensitivity.d_beta),
-        "marriage_elasticity": _listify(marriage_elasticity(eq, report)),
+        "gains_sensitivity": _listify(gains_sensitivity(report)),
+        "marriage_elasticity": _listify(marriage_elasticity(report)),
         "spectral_radius": report.spectral_radius,
         "spectral_pass": report.spectral_pass,
         "sign_check": {
@@ -147,19 +147,17 @@ def _statics_blocks(eq: Equilibrium, report: StaticsReport) -> dict:
             "rate": _listify(participation.rate),
             "own_derivative": _listify(participation.own_derivative),
             "strict": participation.strict,
-            "boundary": participation.boundary,
+            "boundary": market.degenerate,
         },
     }
 
 
-def _transfer_block(eq: Equilibrium, report: StaticsReport, mf: MarketFile) -> dict:
+def _transfer_block(report: StaticsReport, index_map: IndexMap, mf: MarketFile) -> dict:
     c = None
     if mf.c_matrix is not None:
         # c is given for the full market; restrict to populated types.
-        rows = [i for i, label in enumerate(mf.male_types) if label in eq.market.gains.row_labels]
-        cols = [j for j, label in enumerate(mf.female_types) if label in eq.market.gains.col_labels]
-        c = mf.c_matrix[np.ix_(rows, cols)]
-    transfers = transfer_analysis(eq, report, c)
+        c = mf.c_matrix[np.ix_(index_map.kept_men, index_map.kept_women)]
+    transfers = transfer_analysis(report, c)
     block = {
         "transfer_index": _listify(transfers.transfer_index),
         "transfer_derivatives": _listify(transfers.transfer_derivatives),
@@ -201,9 +199,9 @@ def cmd_report(args) -> int:
     report = _base_report(mf, args)
     report["equilibrium"] = _equilibrium_block(eq, index_map)
     if args.command == "statics":
-        report["statics"] = _statics_blocks(eq, statics_matrix(eq))
+        report["statics"] = _statics_blocks(statics_matrix(eq))
     elif args.command == "transfers":
-        report["transfers"] = _transfer_block(eq, statics_matrix(eq), mf)
+        report["transfers"] = _transfer_block(statics_matrix(eq), index_map, mf)
     _emit(report, args)
     return EXIT_OK
 
@@ -291,7 +289,7 @@ def cmd_check(args) -> int:
     mf = _load_market(args)
     eq, index_map = _solve_market(mf, args)
     statics = statics_matrix(eq)
-    fd = finite_difference_check(eq, statics, step=args.fd_step, opts=_solver_options(args))
+    fd = finite_difference_check(statics, step=args.fd_step, opts=_solver_options(args))
 
     checks = {
         "clearing": eq.distribution.clears(eq.market.population),

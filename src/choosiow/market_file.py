@@ -45,6 +45,8 @@ from .solver import IndexMap, reduce_unpopulated
 
 FORMAT_VERSION = "1"
 GAINS_MODES = ("Pi", "pi")
+# The largest log gain whose exponential is a finite float.
+MAX_LOG_GAIN = float(np.log(np.finfo(float).max))
 
 
 class ParseError(ValueError):
@@ -82,6 +84,13 @@ class MarketFile:
             )
         if self.gains_mode == "Pi" and np.any(gains < 0):
             raise ParseError("gains entries must be non-negative in Pi mode")
+        if self.gains_mode == "pi" and np.any(gains > MAX_LOG_GAIN):
+            i, j = np.argwhere(gains > MAX_LOG_GAIN)[0]
+            pair = f"({self.male_types[i]}, {self.female_types[j]})"
+            raise ParseError(
+                f"log gain {float(gains[i, j])!r} for {pair} exceeds {MAX_LOG_GAIN!r}, "
+                "beyond which exp(pi) overflows"
+            )
         populations = np.asarray(self.populations, dtype=float)
         if populations.shape != (n_men + n_women,):
             raise ParseError(
@@ -95,6 +104,8 @@ class MarketFile:
                 raise ParseError(
                     f"c block has shape {c.shape}, expected ({n_men}, {n_women})"
                 )
+            if not np.isfinite(c).all():
+                raise ParseError("c block entries must be finite")
             object.__setattr__(self, "c_matrix", c)
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "populations", populations)

@@ -4,18 +4,21 @@ Everything here flows from the substitution matrix
 
     r_kl = (1 / beta_k^2) d(beta_k^2)/d(nu_l) = 2 * (D^2 H)^{-1}_kl,
 
-evaluated at the equilibrium log-amplitudes.  R is built block by block
-from the reduced matrix S of order min(I, J) (core.ReducedHessian) of
-core.objective_H's blocks; the (I+J)^2 Hessian is never assembled.  R is
-symmetric positive definite; with a gains matrix that has no vanishing
-row or column it also has a strict sign pattern (same-sex entries
-positive, cross-sex entries negative) and a spectral certificate
+evaluated at the equilibrium log-amplitudes.  statics_matrix(eq), the one
+entry point, builds R block by block from the reduced matrix S of order
+min(I, J) (core.ReducedHessian) of core.objective_H's blocks, never
+assembling the (I+J)^2 Hessian, and returns a StaticsReport that carries eq;
+every derived sensitivity takes that report alone.  Gains sensitivities,
+marriage elasticities and transfer derivatives each pair a male row with a
+female row of R (or of d_beta^T) in _pairs; participation reads R's
+diagonal.  R is symmetric positive definite; with a gains matrix that has
+no vanishing row or column it also has a strict sign pattern (same-sex
+entries positive, cross-sex entries negative) and a spectral certificate
 lambda_max < 1 for the associated non-negative operator, read from the
-same reduced Hessian.  All
-derivatives can be cross-checked against a brute-force re-solve oracle
-(finite_difference_check), whose 2(I+J) + 2IJ perturbed markets are solved
-together as stacks by the solver's batched Newton loop, each stack holding
-at most _STACK_ELEMENT_BUDGET gains entries.
+same reduced Hessian.  All derivatives can be cross-checked against a
+brute-force re-solve oracle (finite_difference_check), whose 2(I+J) + 2IJ
+perturbed markets are solved together as stacks by the solver's batched
+Newton loop, each stack holding at most _STACK_ELEMENT_BUDGET gains entries.
 """
 
 from __future__ import annotations
@@ -64,28 +67,27 @@ class ConjectureProbe:
 
     male_sums: np.ndarray
     female_sums: np.ndarray
-    male_positive: np.ndarray
-    female_positive: np.ndarray
 
     @property
     def all_positive(self) -> bool:
-        return bool(np.all(self.male_positive) and np.all(self.female_positive))
+        return bool(np.all(self.male_sums > 0) and np.all(self.female_sums > 0))
 
 
 @dataclass(frozen=True)
 class StaticsReport:
-    """Substitution matrix and companions for a solved market."""
+    """Substitution matrix and companions for a solved market.
 
+    Built only by statics_matrix; carries the equilibrium it was computed
+    at, so the derived sensitivities below take the report alone.
+    """
+
+    equilibrium: Equilibrium
     r_matrix: np.ndarray  # (I+J) x (I+J), symmetric positive definite
     d_beta: np.ndarray  # d_beta[k, l] = d(beta_k)/d(nu_l)
     spectral_radius: float
     spectral_pass: bool
     sign_check: SignCheckResult
     conjecture: ConjectureProbe
-    beta_sq: np.ndarray
-    nu: np.ndarray
-    n_male_types: int
-    n_female_types: int
 
 
 @dataclass(frozen=True)
@@ -108,19 +110,6 @@ class ParticipationReport:
     rate: np.ndarray  # length I+J
     own_derivative: np.ndarray  # d s_k / d nu_k
     strict: bool  # all own-derivatives strictly positive
-    boundary: bool  # degenerate gains: derivative may sit at zero
-
-
-@dataclass(frozen=True)
-class GainsSensitivity:
-    """Derivatives of amplitudes with respect to individual gains entries.
-
-    d_beta[i, j, k] = d(beta_k)/d(Pi_ij).  d_log_beta carries the log form
-    -(mu_ij / (2 Pi_ij)) (r_ki + r_{k,I+j}) and is NaN where Pi_ij = 0.
-    """
-
-    d_beta: np.ndarray
-    d_log_beta: np.ndarray
 
 
 def statics_matrix(eq: Equilibrium) -> StaticsReport:
@@ -133,30 +122,29 @@ def statics_matrix(eq: Equilibrium) -> StaticsReport:
     r = 2.0 * hess.inverse()
     lam = float(hess.spectral_radius())
 
-    nu = eq.market.population.counts
-    n_men = eq.market.n_male_types
-    n_women = eq.market.n_female_types
+    market = eq.market
+    n_men = market.n_male_types
+    diag = np.diag(r)
     return StaticsReport(
+        equilibrium=eq,
         r_matrix=r,
         d_beta=0.5 * eq.beta[:, None] * r,
         spectral_radius=lam,
         spectral_pass=lam < 1.0,
-        sign_check=_sign_check(r, beta_sq, nu, n_men, n_women, eq.market.degenerate),
-        conjecture=_conjecture(r, n_men, n_women),
-        beta_sq=beta_sq,
-        nu=nu,
-        n_male_types=n_men,
-        n_female_types=n_women,
+        sign_check=_sign_check(
+            r, beta_sq, market.population.counts, n_men, market.n_female_types, market.degenerate
+        ),
+        # female_sums[i, j] = r_{I+j, I+j} + r_{I+j, i}; symmetry of R lets
+        # us read the cross entry from the male-row block.
+        conjecture=ConjectureProbe(
+            male_sums=diag[:n_men, None] + r[:n_men, n_men:],
+            female_sums=diag[None, n_men:] + r[:n_men, n_men:],
+        ),
     )
 
 
 def _sign_check(
-    r: np.ndarray,
-    beta_sq: np.ndarray,
-    nu: np.ndarray,
-    n_men: int,
-    n_women: int,
-    boundary: bool,
+    r: np.ndarray, beta_sq: np.ndarray, nu: np.ndarray, n_men: int, n_women: int, boundary: bool
 ) -> SignCheckResult:
     abs_r = np.abs(r)
     slack = _STRICTNESS_SLACK * max(1.0, np.max(abs_r))
@@ -201,62 +189,36 @@ def _sign_check(
     )
 
 
-def _conjecture(r: np.ndarray, n_men: int, n_women: int) -> ConjectureProbe:
-    diag = np.diag(r)
-    male_sums = diag[:n_men, None] + r[:n_men, n_men:]
-    female_sums = diag[None, n_men:] + r[:n_men, n_men:]
-    # female_sums[i, j] = r_{I+j, I+j} + r_{I+j, i}; symmetry of R lets us
-    # read the cross entry from the male-row block.
-    return ConjectureProbe(
-        male_sums=male_sums,
-        female_sums=female_sums,
-        male_positive=male_sums > 0,
-        female_positive=female_sums > 0,
-    )
+def _pairs(m: np.ndarray, n_men: int, sign: float) -> np.ndarray:
+    """out[i, j, :] = m[i] + sign * m[I+j]: a male row paired with a female row."""
+    return m[:n_men, None, :] + sign * m[None, n_men:, :]
 
 
-def gains_sensitivity(eq: Equilibrium, report: StaticsReport) -> GainsSensitivity:
-    """Amplitude response to gains entries via the implicit function theorem.
+def gains_sensitivity(report: StaticsReport) -> np.ndarray:
+    """d_beta[i, j, k] = d(beta_k)/d(Pi_ij), by the implicit function theorem.
 
     d(beta_k)/d(Pi_ij) = -beta_i beta_{I+j} (d beta_k/d nu_i + d beta_k/d nu_{I+j}).
     """
-    n_men = report.n_male_types
-    beta = eq.beta
-    pi = eq.market.gains.entries
-    mu = eq.distribution.married
-
-    # sums[i, j, k] = d beta_k/d nu_i + d beta_k/d nu_{I+j}
-    d_nu = report.d_beta  # (K, K): d beta_k / d nu_l
-    sums = d_nu[:, :n_men].T[:, None, :] + d_nu[:, n_men:].T[None, :, :]
-    weight = np.outer(beta[:n_men], beta[n_men:])
-    d_beta = -weight[:, :, None] * sums
-
-    r = report.r_matrix
-    r_sums = r[:, :n_men].T[:, None, :] + r[:, n_men:].T[None, :, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_log = -(mu / (2.0 * pi))[:, :, None] * r_sums
-    d_log[pi == 0] = np.nan
-    return GainsSensitivity(d_beta=d_beta, d_log_beta=d_log)
+    eq = report.equilibrium
+    n_men = eq.market.n_male_types
+    weight = np.outer(eq.beta[:n_men], eq.beta[n_men:])
+    return -weight[:, :, None] * _pairs(report.d_beta.T, n_men, 1.0)
 
 
-def marriage_elasticity(eq: Equilibrium, report: StaticsReport) -> np.ndarray:
+def marriage_elasticity(report: StaticsReport) -> np.ndarray:
     """d log(mu_ij) / d nu_k = (r_ik + r_{I+j,k}) / 2; NaN where mu_ij = 0."""
-    n_men = report.n_male_types
-    r = report.r_matrix
-    out = 0.5 * (r[:n_men, None, :] + r[None, n_men:, :])
-    out = np.where((eq.market.gains.entries == 0)[:, :, None], np.nan, out)
-    return out
+    market = report.equilibrium.market
+    out = 0.5 * _pairs(report.r_matrix, market.n_male_types, 1.0)
+    return np.where((market.gains.entries == 0)[:, :, None], np.nan, out)
 
 
-def transfer_analysis(
-    eq: Equilibrium, report: StaticsReport, c: np.ndarray | None = None
-) -> TransferReport:
+def transfer_analysis(report: StaticsReport, c: np.ndarray | None = None) -> TransferReport:
     """Transfer index log(beta_i^2 / beta_{I+j}^2) and its nu-derivatives."""
-    n_men = report.n_male_types
+    eq = report.equilibrium
+    n_men = eq.market.n_male_types
     b = eq.log_beta
     index = 2.0 * (b[:n_men, None] - b[None, n_men:])
-    r = report.r_matrix
-    derivatives = 0.5 * (r[:n_men, None, :] - r[None, n_men:, :])
+    derivatives = 0.5 * _pairs(report.r_matrix, n_men, -1.0)
     tau = None
     if c is not None:
         c = np.asarray(c, dtype=float)
@@ -266,18 +228,14 @@ def transfer_analysis(
     return TransferReport(transfer_index=index, transfer_derivatives=derivatives, tau=tau)
 
 
-def participation_analysis(eq: Equilibrium, report: StaticsReport) -> ParticipationReport:
+def participation_analysis(report: StaticsReport) -> ParticipationReport:
     """Non-participation rate s_k = beta_k^2 / nu_k and its own-derivative."""
-    nu = report.nu
-    beta_sq = report.beta_sq
+    eq = report.equilibrium
+    nu = eq.market.population.counts
+    beta_sq = eq.beta**2
     rate = beta_sq / nu
     own = (beta_sq / nu**2) * (nu * np.diag(report.r_matrix) - 1.0)
-    return ParticipationReport(
-        rate=rate,
-        own_derivative=own,
-        strict=bool(np.all(own > 0)),
-        boundary=eq.market.degenerate,
-    )
+    return ParticipationReport(rate=rate, own_derivative=own, strict=bool(np.all(own > 0)))
 
 
 @dataclass(frozen=True)
@@ -310,15 +268,14 @@ def _rel_error(fd: np.ndarray, analytic: np.ndarray) -> float:
 
 
 def finite_difference_check(
-    eq: Equilibrium,
     report: StaticsReport,
     step: float = 1e-5,
     opts: SolverOptions = SolverOptions(),
 ) -> FiniteDifferenceReport:
     """Independent oracle: central differences of re-solved equilibria.
 
-    Takes a solved market and its statics_matrix report, re-solves the
-    market (warm-started at eq) at nu_k (1 +/- step) for every k and at
+    Takes a statics_matrix report, re-solves its market (warm-started at
+    the report's equilibrium) at nu_k (1 +/- step) for every k and at
     Pi_ij +/- step (1 + Pi_ij) for every (i, j), then compares the central
     differences of beta^2, log mu, the transfer index, and the
     participation rate against the analytic values.  Where Pi_ij < step
@@ -327,6 +284,7 @@ def finite_difference_check(
     copies of the market, in chunks of at most _STACK_ELEMENT_BUDGET gains
     entries.
     """
+    eq = report.equilibrium
     market = eq.market
     n = market.size
     n_men = market.n_male_types
@@ -398,14 +356,10 @@ def finite_difference_check(
 
     return FiniteDifferenceReport(
         substitution_error=_rel_error(fd_r, report.r_matrix),
-        gains_error=_rel_error(
-            fd_gains.reshape(n_men, -1, n), gains_sensitivity(eq, report).d_beta
-        ),
-        marriage_error=_rel_error(fd_mu, marriage_elasticity(eq, report)),
-        transfer_error=_rel_error(
-            fd_transfer, transfer_analysis(eq, report).transfer_derivatives
-        ),
+        gains_error=_rel_error(fd_gains.reshape(n_men, -1, n), gains_sensitivity(report)),
+        marriage_error=_rel_error(fd_mu, marriage_elasticity(report)),
+        transfer_error=_rel_error(fd_transfer, transfer_analysis(report).transfer_derivatives),
         participation_error=_rel_error(
-            fd_participation, participation_analysis(eq, report).own_derivative
+            fd_participation, participation_analysis(report).own_derivative
         ),
     )

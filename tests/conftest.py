@@ -9,12 +9,12 @@ from choosiow import (
     ValidatedMarket,
     gains_sensitivity,
     marriage_elasticity,
-    objective_H,
     participation_analysis,
     solve,
     transfer_analysis,
     validate_market,
 )
+from choosiow.core import objective_H
 
 
 def make_market(gains, populations) -> ValidatedMarket:
@@ -63,18 +63,19 @@ def _rel_error(fd: np.ndarray, analytic: np.ndarray) -> float:
 
 
 def reference_finite_difference_check(
-    eq, report, step: float = 1e-5, opts: SolverOptions = SolverOptions()
+    report, step: float = 1e-5, opts: SolverOptions = SolverOptions()
 ) -> FiniteDifferenceReport:
     """The finite-difference oracle as one public solve per perturbed market.
 
     A loop over the 2(I+J) + 2IJ re-solves, kept as the reference that the
     stacked finite_difference_check is compared against.
     """
+    eq = report.equilibrium
     market = eq.market
-    gains = gains_sensitivity(eq, report)
-    elasticity = marriage_elasticity(eq, report)
-    transfers = transfer_analysis(eq, report)
-    participation = participation_analysis(eq, report)
+    gains = gains_sensitivity(report)
+    elasticity = marriage_elasticity(report)
+    transfers = transfer_analysis(report)
+    participation = participation_analysis(report)
 
     n = market.size
     n_men = market.n_male_types
@@ -112,7 +113,7 @@ def reference_finite_difference_check(
             hi.beta[k] ** 2 / (nu[k] + h) - lo.beta[k] ** 2 / (nu[k] - h)
         ) / (2 * h)
 
-    fd_gains = np.empty(gains.d_beta.shape)
+    fd_gains = np.empty(gains.shape)
     for i in range(n_men):
         for j in range(market.n_female_types):
             h = step * (1.0 + pi[i, j])
@@ -126,7 +127,7 @@ def reference_finite_difference_check(
 
     return FiniteDifferenceReport(
         substitution_error=_rel_error(fd_r, report.r_matrix),
-        gains_error=_rel_error(fd_gains, gains.d_beta),
+        gains_error=_rel_error(fd_gains, gains),
         marriage_error=_rel_error(fd_mu, elasticity),
         transfer_error=_rel_error(fd_transfer, transfers.transfer_derivatives),
         participation_error=_rel_error(fd_participation, participation.own_derivative),

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,46 @@ c 1
         text = SYMMETRIC_MARKET + "[c]\n0.5\n"
         mf = parse_market(write_market(tmp_path, text))
         np.testing.assert_allclose(mf.c_matrix, [[0.5]])
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_c_block_rejected(self, tmp_path, capsys, entry):
+        # A NaN or infinite constant would be written as tau: [[null]].
+        market = str(write_market(tmp_path, SYMMETRIC_MARKET + f"[c]\n{entry}\n"))
+        assert main(["transfers", "--input", market]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "c block entries must be finite" in captured.err
+        assert captured.out == ""
+
+    def test_overflowing_log_gain_rejected(self, tmp_path, capsys):
+        text = """\
+[types.male]
+m1
+m2
+[types.female]
+f1
+[gains mode=pi]
+0.5
+800
+[population]
+m1 10
+m2 20
+f1 30
+"""
+        market = str(write_market(tmp_path, text))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--input", market]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "log gain 800.0 for (m2, f1) exceeds" in captured.err
+        assert captured.out == ""
+
+    def test_largest_log_gain_accepted(self, tmp_path):
+        # exp of the bound itself is the largest finite float, with no warning.
+        text = SYMMETRIC_MARKET.replace("[gains mode=Pi]\n1.0", "[gains mode=pi]\n709.782712893384")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mf = parse_market(write_market(tmp_path, text))
+            assert np.isfinite(mf.pi_matrix).all()
 
     def test_mode_override(self, tmp_path):
         path = write_market(tmp_path, SYMMETRIC_MARKET)
@@ -226,6 +267,52 @@ class TestStaticsAndTransfers:
         report = json.loads(out.read_text())
         # symmetric market: transfer index 0, c = 0, so tau = 0
         assert report["transfers"]["tau"][0][0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_transfers_with_c_and_unpopulated_type(self, tmp_path):
+        # m0 has no members: tau covers the kept types m1, m2 against c's rows 0 and 2.
+        text = """\
+[types.male]
+m1
+m0
+m2
+[types.female]
+f1
+f2
+[gains mode=Pi]
+1.2 0.4
+0.8 2.1
+0.5 1.5
+[population]
+m1 300
+m0 0
+m2 150
+f1 200
+f2 260
+[c]
+0.1 -0.2
+0.3 0.05
+-0.4 0.25
+"""
+        market = write_market(tmp_path, text)
+        out = tmp_path / "report.json"
+        assert main(["transfers", "--input", str(market), "--output", str(out)]) == EXIT_OK
+        transfers = json.loads(out.read_text())["transfers"]
+        index = np.array(transfers["transfer_index"])
+        tau = np.array(transfers["tau"])
+        assert tau.shape == index.shape == (2, 2)
+        c_kept = np.array([[0.1, -0.2], [-0.4, 0.25]])
+        np.testing.assert_array_equal(tau, 0.5 * (index - c_kept))
+
+    def test_statics_boundary_on_zero_gains_row(self, tmp_path):
+        text = SYMMETRIC_MARKET.replace("man\n[types.female]", "man\nloner\n[types.female]")
+        text = text.replace("[gains mode=Pi]\n1.0", "[gains mode=Pi]\n1.0\n0.0")
+        text = text.replace("\nman 100\n", "\nman 100\nloner 40\n")
+        market = write_market(tmp_path, text)
+        out = tmp_path / "report.json"
+        assert main(["statics", "--input", str(market), "--output", str(out)]) == EXIT_OK
+        statics = json.loads(out.read_text())["statics"]
+        assert statics["participation"]["boundary"] is True
+        assert statics["sign_check"]["mode"] == "boundary"
 
 
 class TestWhatif:

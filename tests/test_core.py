@@ -10,11 +10,10 @@ from choosiow import (
     ScalingError,
     ValidatedMarket,
     marriage_distribution,
-    objective_H,
     solve,
     statics_matrix,
 )
-from choosiow.core import reduce_hessian
+from choosiow.core import objective_H, reduce_hessian
 from choosiow.solver import _decrease
 from conftest import dense_hessian, hessian_blocks, make_market
 

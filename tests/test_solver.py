@@ -9,14 +9,12 @@ from choosiow import (
     GainsMatrix,
     PopulationVector,
     SolverOptions,
-    initial_guess,
     marriage_distribution,
-    objective_H,
     reduce_unpopulated,
     solve,
 )
-from choosiow.core import LOG_AMPLITUDE_BOUND
-from choosiow.solver import _decrease, _solve_stack
+from choosiow.core import LOG_AMPLITUDE_BOUND, objective_H
+from choosiow.solver import _decrease, _solve_stack, initial_guess
 from conftest import make_market, random_market
 
 
