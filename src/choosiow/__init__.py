@@ -9,16 +9,10 @@ from .core import (
     ScalingError,
     ValidatedMarket,
     marriage_distribution,
+    reduce_unpopulated,
     validate_market,
 )
-from .solver import (
-    ConvergenceError,
-    Equilibrium,
-    IndexMap,
-    SolverOptions,
-    reduce_unpopulated,
-    solve,
-)
+from .solver import ConvergenceError, Equilibrium, SolverOptions, solve
 from .statics import (
     FiniteDifferenceReport,
     StaticsReport,
@@ -46,7 +40,6 @@ __all__ = [
     "Equilibrium",
     "FiniteDifferenceReport",
     "GainsMatrix",
-    "IndexMap",
     "MaritalDistribution",
     "PopulationVector",
     "ScalingError",

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 input error, 2 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -23,7 +24,7 @@ from . import __version__
 from .choice import equilibrium_consistency
 from .core import ScalingError
 from .market_file import FORMAT_VERSION, MarketFile, ParseError, parse_market, parse_market_tables
-from .solver import ConvergenceError, Equilibrium, IndexMap, SolverOptions, solve
+from .solver import ConvergenceError, Equilibrium, SolverOptions, solve
 from .statics import (
     StaticsReport,
     finite_difference_check,
@@ -93,26 +94,39 @@ def _input_block(mf: MarketFile) -> dict:
     return block
 
 
-def _embedded(eq: Equilibrium, index_map: IndexMap) -> dict:
+def _populated_pairs(mf: MarketFile) -> tuple:
+    """np.ix_ of the populated men and women: the pairs of the solved market."""
+    n_men = len(mf.male_types)
+    return np.ix_(mf.populated[:n_men], mf.populated[n_men:])
+
+
+def _embedded(eq: Equilibrium, mf: MarketFile) -> dict:
     """The equilibrium arrays over all declared types; dropped types get NaN amplitudes."""
-    dist = index_map.embed_distribution(eq.distribution)
+    kept, n_men = mf.populated, len(mf.male_types)
+    dist = eq.distribution
+    amplitudes = np.full((2, kept.size), np.nan)
+    amplitudes[:, kept] = eq.beta, eq.log_beta
+    singles = np.zeros(kept.size)
+    singles[kept] = np.concatenate([dist.single_men, dist.single_women])
+    mu = np.zeros(mf.gains.shape)
+    mu[_populated_pairs(mf)] = dist.married
     return {
-        "beta": index_map.embed_amplitudes(eq.beta),
-        "log_beta": index_map.embed_amplitudes(eq.log_beta),
-        "mu": dist.married,
-        "single_men": dist.single_men,
-        "single_women": dist.single_women,
+        "beta": amplitudes[0],
+        "log_beta": amplitudes[1],
+        "mu": mu,
+        "single_men": singles[:n_men],
+        "single_women": singles[n_men:],
     }
 
 
-def _equilibrium_block(eq: Equilibrium, index_map: IndexMap) -> dict:
-    block = {key: _listify(value) for key, value in _embedded(eq, index_map).items()}
+def _equilibrium_block(eq: Equilibrium, mf: MarketFile) -> dict:
+    block = {key: _listify(value) for key, value in _embedded(eq, mf).items()}
     block.update(
         residual_norm=eq.residual_norm,
         iterations=eq.iterations,
         objective_value=eq.objective_value,
     )
-    if not index_map.identity:
+    if not mf.populated.all():
         block["note"] = (
             "zero-population types were dropped before solving and re-embedded "
             "with zero singles and zero marriages"
@@ -152,11 +166,9 @@ def _statics_blocks(report: StaticsReport) -> dict:
     }
 
 
-def _transfer_block(report: StaticsReport, index_map: IndexMap, mf: MarketFile) -> dict:
-    c = None
-    if mf.c_matrix is not None:
-        # c is given for the full market; restrict to populated types.
-        c = mf.c_matrix[np.ix_(index_map.kept_men, index_map.kept_women)]
+def _transfer_block(report: StaticsReport, mf: MarketFile) -> dict:
+    # c is given for the full market; restrict it to the populated types.
+    c = None if mf.c_matrix is None else mf.c_matrix[_populated_pairs(mf)]
     transfers = transfer_analysis(report, c)
     block = {
         "transfer_index": _listify(transfers.transfer_index),
@@ -187,21 +199,20 @@ def _emit(report: dict, args) -> None:
         print(text)
 
 
-def _solve_market(mf: MarketFile, args) -> tuple[Equilibrium, IndexMap]:
-    market, index_map = mf.to_market()
-    return solve(market, _solver_options(args)), index_map
+def _solve_market(mf: MarketFile, args) -> Equilibrium:
+    return solve(mf.to_market(), _solver_options(args))
 
 
 def cmd_report(args) -> int:
     """solve, statics and transfers: the equilibrium plus the command's own block."""
     mf = _load_market(args)
-    eq, index_map = _solve_market(mf, args)
+    eq = _solve_market(mf, args)
     report = _base_report(mf, args)
-    report["equilibrium"] = _equilibrium_block(eq, index_map)
+    report["equilibrium"] = _equilibrium_block(eq, mf)
     if args.command == "statics":
         report["statics"] = _statics_blocks(statics_matrix(eq))
     elif args.command == "transfers":
-        report["transfers"] = _transfer_block(statics_matrix(eq), index_map, mf)
+        report["transfers"] = _transfer_block(statics_matrix(eq), mf)
     _emit(report, args)
     return EXIT_OK
 
@@ -239,15 +250,7 @@ def _parse_shocks(args, mf: MarketFile) -> tuple[np.ndarray, np.ndarray]:
 def cmd_whatif(args) -> int:
     mf = _load_market(args)
     populations, gains = _parse_shocks(args, mf)
-    shocked_mf = MarketFile(
-        format_version=mf.format_version,
-        male_types=mf.male_types,
-        female_types=mf.female_types,
-        gains_mode="Pi",
-        gains=gains,
-        populations=populations,
-        c_matrix=mf.c_matrix,
-    )
+    shocked_mf = dataclasses.replace(mf, gains_mode="Pi", gains=gains, populations=populations)
     base = _solve_market(mf, args)
     shocked = _solve_market(shocked_mf, args)
     report = _base_report(
@@ -255,10 +258,10 @@ def cmd_whatif(args) -> int:
         args,
         {"shock_nu": args.shock_nu or [], "shock_pi": args.shock_pi or []},
     )
-    report["baseline"] = _equilibrium_block(*base)
-    report["shocked"] = _equilibrium_block(*shocked)
+    report["baseline"] = _equilibrium_block(base, mf)
+    report["shocked"] = _equilibrium_block(shocked, shocked_mf)
     # NaN (a type unpopulated on either side) stays NaN and is written as null.
-    before, after = _embedded(*base), _embedded(*shocked)
+    before, after = _embedded(base, mf), _embedded(shocked, shocked_mf)
     report["delta"] = {
         key: _listify(after[key] - before[key])
         for key in ("beta", "mu", "single_men", "single_women")
@@ -269,11 +272,11 @@ def cmd_whatif(args) -> int:
 
 def cmd_simulate(args) -> int:
     mf = _load_market(args)
-    eq, index_map = _solve_market(mf, args)
+    eq = _solve_market(mf, args)
     rng = np.random.default_rng(args.seed)
     record = equilibrium_consistency(eq, args.samples, rng)
     report = _base_report(mf, args, {"seed": args.seed, "samples": args.samples})
-    report["equilibrium"] = _equilibrium_block(eq, index_map)
+    report["equilibrium"] = _equilibrium_block(eq, mf)
     report["simulation"] = {
         "male_divergence": _listify(record.male_divergence),
         "female_divergence": _listify(record.female_divergence),
@@ -287,7 +290,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     mf = _load_market(args)
-    eq, index_map = _solve_market(mf, args)
+    eq = _solve_market(mf, args)
     statics = statics_matrix(eq)
     fd = finite_difference_check(statics, step=args.fd_step, opts=_solver_options(args))
 
@@ -300,7 +303,7 @@ def cmd_check(args) -> int:
     report = _base_report(
         mf, args, {"fd_step": args.fd_step, "fd_tolerance": args.fd_tolerance}
     )
-    report["equilibrium"] = _equilibrium_block(eq, index_map)
+    report["equilibrium"] = _equilibrium_block(eq, mf)
     report["check"] = {
         **checks,
         "sign_check_mode": statics.sign_check.mode,
@@ -406,7 +409,7 @@ def main(argv=None) -> int:
         print(
             json.dumps(
                 {"error": {"kind": "no_convergence", "message": str(exc),
-                           "residual_norm": exc.residual_norm}},
+                           "residual_norm": _listify(exc.residual_norm)}},
                 indent=2,
             ),
             file=sys.stderr,

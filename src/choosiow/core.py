@@ -214,6 +214,35 @@ def validate_market(gains: GainsMatrix, population: PopulationVector) -> Validat
     return ValidatedMarket(gains, population)
 
 
+def reduce_unpopulated(gains: GainsMatrix, raw_population) -> ValidatedMarket:
+    """The market of the populated types: those with raw_population > 0, in order.
+
+    Its equilibrium extends the solution to merely non-negative population
+    vectors: dropped types have zero singles and zero marriages, with
+    amplitudes undefined.
+    """
+    raw = np.asarray(raw_population, dtype=float)
+    n_men, size = gains.n_male_types, sum(gains.entries.shape)
+    if raw.shape != (size,):
+        raise ValueError(f"population has {raw.size} entries, expected {size}")
+    if np.any(raw < 0) or not np.all(np.isfinite(raw)):
+        raise ValueError("population entries must be non-negative and finite")
+    kept = raw > 0
+    men, women = kept[:n_men], kept[n_men:]
+    if not kept.any():
+        raise ValueError("all types are unpopulated")
+    if not men.any() or not women.any():
+        # With one side empty nobody can marry and the reduced gains matrix
+        # would have no rows or no columns, which GainsMatrix rejects.
+        raise ValueError("one side of the market is entirely unpopulated")
+    reduced_gains = GainsMatrix(
+        entries=gains.entries[np.ix_(men, women)],
+        row_labels=tuple(label for label, k in zip(gains.row_labels, men) if k),
+        col_labels=tuple(label for label, k in zip(gains.col_labels, women) if k),
+    )
+    return validate_market(reduced_gains, PopulationVector(raw[kept]))
+
+
 def marriage_distribution(beta, gains: GainsMatrix) -> MaritalDistribution:
     """Recover the full marital distribution from positive amplitudes."""
     beta = np.asarray(beta, dtype=float)

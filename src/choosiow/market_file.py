@@ -29,7 +29,11 @@ Two formats are supported:
 
 * a pair of comma-separated tables for spreadsheet interoperability:
   a gains table (first column male labels, header row female labels) and a
-  population table with columns side,label,count.
+  population table with columns side,label,count, holding exactly one row
+  for each type of the gains table, in any order.
+
+Zero counts are allowed: MarketFile.populated masks the types with a
+positive count, and to_market returns the market of those types alone.
 """
 
 from __future__ import annotations
@@ -40,8 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GainsMatrix, ValidatedMarket
-from .solver import IndexMap, reduce_unpopulated
+from .core import GainsMatrix, ValidatedMarket, reduce_unpopulated
 
 FORMAT_VERSION = "1"
 GAINS_MODES = ("Pi", "pi")
@@ -117,8 +120,13 @@ class MarketFile:
             return np.exp(self.gains)
         return self.gains
 
-    def to_market(self) -> tuple[ValidatedMarket, IndexMap]:
-        """Hand off to the core model, dropping zero-population types."""
+    @property
+    def populated(self) -> np.ndarray:
+        """Mask over [men | women] of the types with a positive count."""
+        return self.populations > 0
+
+    def to_market(self) -> ValidatedMarket:
+        """Hand off to the core model: the market of the populated types."""
         gains = GainsMatrix(
             entries=self.pi_matrix,
             row_labels=self.male_types,
@@ -248,27 +256,34 @@ def parse_market_tables(
     if gains.shape[1] != len(female_types):
         raise ParseError(f"{gains_path}: ragged gains table")
 
-    counts = {"male": {}, "female": {}}
+    declared = {"male": male_types, "female": female_types}
+    counts = {}
     with open(populations_path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or {"side", "label", "count"} - set(reader.fieldnames):
             raise ParseError(f"{populations_path}: expected columns side,label,count")
         for row in reader:
-            side = row["side"].strip()
-            if side not in counts:
+            side, label = row["side"].strip(), row["label"].strip()
+            if side not in declared:
                 raise ParseError(f"{populations_path}: unknown side {side!r}")
+            if label not in declared[side]:
+                raise ParseError(
+                    f"{populations_path}: {side} label {label!r} is not in the gains table"
+                )
+            if (side, label) in counts:
+                raise ParseError(f"{populations_path}: duplicate {side} row for {label!r}")
             try:
-                counts[side][row["label"].strip()] = float(row["count"])
+                counts[side, label] = float(row["count"])
             except ValueError:
                 raise ParseError(
                     f"{populations_path}: bad count {row['count']!r}"
                 ) from None
     populations = []
-    for side, labels in (("male", male_types), ("female", female_types)):
+    for side, labels in declared.items():
         for label in labels:
-            if label not in counts[side]:
+            if (side, label) not in counts:
                 raise ParseError(f"{populations_path}: missing {side} count for {label!r}")
-            populations.append(counts[side][label])
+            populations.append(counts[side, label])
 
     return MarketFile(
         format_version=FORMAT_VERSION,

@@ -16,6 +16,10 @@ markets leave the stack as they converge, and each follows the same
 sequence of iterates as when solved alone.  solve is its one-market case;
 the finite-difference oracle in statics solves its perturbed markets as
 stacks.
+
+Every type has nu_k > 0 here: a zero-population type has beta_k = 0 and no
+log-amplitude, so core.reduce_unpopulated drops such types before solving
+and the CLI puts them back in its reports.
 """
 
 from __future__ import annotations
@@ -29,14 +33,12 @@ import numpy as np
 
 from .core import (
     LOG_AMPLITUDE_BOUND,
-    GainsMatrix,
     MaritalDistribution,
     PopulationVector,
     ValidatedMarket,
     marriage_distribution,
     objective_H,
     reduce_hessian,
-    validate_market,
 )
 
 
@@ -281,71 +283,3 @@ def _unfactorable(diag: np.ndarray, cross: np.ndarray) -> int:
             return member
     return 0
 
-
-@dataclass(frozen=True)
-class IndexMap:
-    """Mapping from a reduced market back to the originally supplied types."""
-
-    kept_men: tuple[int, ...]
-    kept_women: tuple[int, ...]
-    n_men: int
-    n_women: int
-
-    @property
-    def identity(self) -> bool:
-        return len(self.kept_men) == self.n_men and len(self.kept_women) == self.n_women
-
-    def embed_distribution(self, reduced: MaritalDistribution) -> MaritalDistribution:
-        """Re-embed a reduced distribution; dropped types get explicit zeros."""
-        married = np.zeros((self.n_men, self.n_women))
-        single_men = np.zeros(self.n_men)
-        single_women = np.zeros(self.n_women)
-        married[np.ix_(self.kept_men, self.kept_women)] = reduced.married
-        single_men[list(self.kept_men)] = reduced.single_men
-        single_women[list(self.kept_women)] = reduced.single_women
-        return MaritalDistribution(married, single_men, single_women)
-
-    def embed_amplitudes(self, beta: np.ndarray) -> np.ndarray:
-        """Full-length amplitude vector with NaN for dropped (undefined) types."""
-        out = np.full(self.n_men + self.n_women, np.nan)
-        n_kept_men = len(self.kept_men)
-        out[list(self.kept_men)] = beta[:n_kept_men]
-        out[[self.n_men + j for j in self.kept_women]] = beta[n_kept_men:]
-        return out
-
-
-def reduce_unpopulated(
-    gains: GainsMatrix, raw_population
-) -> tuple[ValidatedMarket, IndexMap]:
-    """Drop types with zero population and return the reduced market.
-
-    The equilibrium of the reduced market extends the solution to merely
-    non-negative population vectors: dropped types have zero singles and
-    zero marriages, with amplitudes undefined.
-    """
-    raw = np.asarray(raw_population, dtype=float)
-    n_men, n_women = gains.n_male_types, gains.n_female_types
-    if raw.shape != (n_men + n_women,):
-        raise ValueError(
-            f"population has {raw.size} entries, expected {n_men + n_women}"
-        )
-    if np.any(raw < 0) or not np.all(np.isfinite(raw)):
-        raise ValueError("population entries must be non-negative and finite")
-    kept_men = tuple(int(i) for i in np.flatnonzero(raw[:n_men] > 0))
-    kept_women = tuple(int(j) for j in np.flatnonzero(raw[n_men:] > 0))
-    if not kept_men and not kept_women:
-        raise ValueError("all types are unpopulated")
-    if not kept_men or not kept_women:
-        # With one side empty nobody can marry and the reduced gains matrix
-        # would have no rows or no columns, which GainsMatrix rejects.
-        raise ValueError("one side of the market is entirely unpopulated")
-    reduced_gains = GainsMatrix(
-        entries=gains.entries[np.ix_(kept_men, kept_women)],
-        row_labels=tuple(gains.row_labels[i] for i in kept_men),
-        col_labels=tuple(gains.col_labels[j] for j in kept_women),
-    )
-    counts = np.concatenate(
-        [raw[list(kept_men)], raw[[n_men + j for j in kept_women]]]
-    )
-    market = validate_market(reduced_gains, PopulationVector(counts))
-    return market, IndexMap(kept_men, kept_women, n_men, n_women)

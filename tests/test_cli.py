@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choosiow.cli import EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, main
+from choosiow import GainsMatrix, reduce_unpopulated, solve
+from choosiow.cli import EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
 from choosiow.market_file import ParseError, parse_market, parse_market_tables
+from choosiow.solver import ConvergenceError
 
 SYMMETRIC_MARKET = """\
 # the smallest well-posed market
@@ -31,6 +33,15 @@ def write_market(tmp_path, text, name="market.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def load_report(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+
+    def reject(token):
+        raise ValueError(f"{token} in a report is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestParseMarket:
@@ -154,6 +165,29 @@ class TestParseMarketTables:
         with pytest.raises(ParseError, match="missing"):
             parse_market_tables(gains, pops)
 
+    @pytest.mark.parametrize(
+        "extra_row, message",
+        [
+            ("male,m1,5", "pops.csv: duplicate male row for 'm1'"),
+            ("female,fx,42", "pops.csv: female label 'fx' is not in the gains table"),
+        ],
+    )
+    def test_bad_population_row_rejected(self, tmp_path, capsys, extra_row, message):
+        # A second m1 row used to replace the first; an undeclared label was ignored.
+        gains = tmp_path / "gains.csv"
+        gains.write_text(",f1,f2\nm1,1.0,2.0\nm2,0.5,1.5\n", encoding="utf-8")
+        pops = tmp_path / "pops.csv"
+        pops.write_text(
+            "side,label,count\nmale,m1,100\nmale,m2,20\nfemale,f1,30\nfemale,f2,40\n"
+            f"{extra_row}\n",
+            encoding="utf-8",
+        )
+        argv = ["solve", "--gains-csv", str(gains), "--populations-csv", str(pops)]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestProcess:
     def test_parser_reuse_leaves_no_state(self, tmp_path, capsys):
@@ -170,10 +204,24 @@ class TestProcess:
             assert main(argv) == EXIT_OK
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[2]
-        assert json.loads(reports[1])["settings"] == {
+        assert load_report(reports[1])["settings"] == {
             "tolerance": 1e-9, "max_iterations": 50, "fd_step": 1e-4, "fd_tolerance": 1e-3
         }
-        assert json.loads(reports[2])["settings"] == {"tolerance": 1e-10, "max_iterations": 200}
+        assert load_report(reports[2])["settings"] == {"tolerance": 1e-10, "max_iterations": 200}
+
+    def test_no_convergence_report_is_json(self, tmp_path, capsys, monkeypatch):
+        # An overflowing residual norm is written as null, not as Infinity.
+        def diverge(market, opts):
+            raise ConvergenceError("factorization failed", np.zeros(2), math.inf)
+
+        monkeypatch.setattr("choosiow.cli.solve", diverge)
+        market = str(write_market(tmp_path, SYMMETRIC_MARKET))
+        assert main(["solve", "--input", market]) == EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        error = load_report(captured.err)["error"]
+        assert error["kind"] == "no_convergence"
+        assert error["residual_norm"] is None
+        assert captured.out == ""
 
     def test_import_needs_numpy_only(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -193,7 +241,7 @@ class TestSolveCommand:
         out = tmp_path / "report.json"
         code = main(["solve", "--input", str(market), "--output", str(out)])
         assert code == EXIT_OK
-        report = json.loads(out.read_text())
+        report = load_report(out.read_text())
         assert report["equilibrium"]["mu"][0][0] == pytest.approx(50.0, rel=1e-9)
         assert report["input"]["male_types"] == ["man"]
 
@@ -213,8 +261,8 @@ class TestSolveCommand:
         market = write_market(tmp_path, SYMMETRIC_MARKET)
         out = tmp_path / "report.json"
         main(["solve", "--input", str(market), "--output", str(out)])
-        parsed = json.loads(out.read_text())
-        assert json.loads(json.dumps(parsed)) == parsed
+        parsed = load_report(out.read_text())
+        assert load_report(json.dumps(parsed)) == parsed
 
     def test_zero_population_type_reembedded(self, tmp_path):
         text = """\
@@ -234,11 +282,48 @@ c 1
         market = write_market(tmp_path, text)
         out = tmp_path / "report.json"
         assert main(["solve", "--input", str(market), "--output", str(out)]) == EXIT_OK
-        report = json.loads(out.read_text())
+        report = load_report(out.read_text())
         assert report["equilibrium"]["mu"][1] == [0.0]
         assert report["equilibrium"]["single_men"][1] == 0.0
         assert report["equilibrium"]["beta"][1] is None
         assert "note" in report["equilibrium"]
+
+    def test_zero_population_female_type_reembedded(self, tmp_path):
+        # f0 is dropped: the kept women sit at offsets 0 and 2 of the female side.
+        text = """\
+[types.male]
+m1
+m2
+[types.female]
+f1
+f0
+f2
+[gains mode=Pi]
+1.2 0.7 0.4
+0.8 3.0 2.1
+[population]
+m1 300
+m2 150
+f1 200
+f0 0
+f2 260
+"""
+        market = write_market(tmp_path, text)
+        out = tmp_path / "report.json"
+        assert main(["solve", "--input", str(market), "--output", str(out)]) == EXIT_OK
+        block = load_report(out.read_text())["equilibrium"]
+        assert block["beta"][3] is None and block["log_beta"][3] is None
+        assert [row[1] for row in block["mu"]] == [0.0, 0.0]
+        assert block["single_women"][1] == 0.0
+
+        gains = GainsMatrix([[1.2, 0.7, 0.4], [0.8, 3.0, 2.1]], ("m1", "m2"), ("f1", "f0", "f2"))
+        eq = solve(reduce_unpopulated(gains, [300, 150, 200, 0, 260]))
+        kept = [0, 1, 2, 4]
+        assert [block["beta"][k] for k in kept] == eq.beta.tolist()
+        assert [block["log_beta"][k] for k in kept] == eq.log_beta.tolist()
+        assert [[row[0], row[2]] for row in block["mu"]] == eq.distribution.married.tolist()
+        assert block["single_men"] == eq.distribution.single_men.tolist()
+        assert [block["single_women"][j] for j in (0, 2)] == eq.distribution.single_women.tolist()
 
 
 class TestStaticsAndTransfers:
@@ -246,25 +331,27 @@ class TestStaticsAndTransfers:
         market = write_market(tmp_path, SYMMETRIC_MARKET)
         out = tmp_path / "report.json"
         assert main(["statics", "--input", str(market), "--output", str(out)]) == EXIT_OK
-        report = json.loads(out.read_text())
+        report = load_report(out.read_text())
         r = np.array(report["statics"]["r_matrix"])
         np.testing.assert_allclose(r, [[0.015, -0.005], [-0.005, 0.015]], rtol=1e-9)
         assert report["statics"]["spectral_radius"] == pytest.approx(1 / 9, abs=1e-10)
         assert report["statics"]["sign_check"]["mode"] == "strict"
 
     def test_transfers_without_c(self, tmp_path):
-        text = SYMMETRIC_MARKET.replace("man 100", "man 400").replace("woman 100", "woman 100")
+        text = SYMMETRIC_MARKET.replace("\nman 100\n", "\nman 400\n")
         market = write_market(tmp_path, text)
         out = tmp_path / "report.json"
         assert main(["transfers", "--input", str(market), "--output", str(out)]) == EXIT_OK
-        report = json.loads(out.read_text())
+        report = load_report(out.read_text())
         assert "tau" not in report["transfers"]
+        # 400 men, 100 women: single men outnumber single women.
+        assert report["transfers"]["transfer_index"][0][0] > 0
 
     def test_transfers_with_c(self, tmp_path):
         market = write_market(tmp_path, SYMMETRIC_MARKET + "[c]\n0.0\n")
         out = tmp_path / "report.json"
         assert main(["transfers", "--input", str(market), "--output", str(out)]) == EXIT_OK
-        report = json.loads(out.read_text())
+        report = load_report(out.read_text())
         # symmetric market: transfer index 0, c = 0, so tau = 0
         assert report["transfers"]["tau"][0][0] == pytest.approx(0.0, abs=1e-12)
 
@@ -296,7 +383,7 @@ f2 260
         market = write_market(tmp_path, text)
         out = tmp_path / "report.json"
         assert main(["transfers", "--input", str(market), "--output", str(out)]) == EXIT_OK
-        transfers = json.loads(out.read_text())["transfers"]
+        transfers = load_report(out.read_text())["transfers"]
         index = np.array(transfers["transfer_index"])
         tau = np.array(transfers["tau"])
         assert tau.shape == index.shape == (2, 2)
@@ -310,7 +397,7 @@ f2 260
         market = write_market(tmp_path, text)
         out = tmp_path / "report.json"
         assert main(["statics", "--input", str(market), "--output", str(out)]) == EXIT_OK
-        statics = json.loads(out.read_text())["statics"]
+        statics = load_report(out.read_text())["statics"]
         assert statics["participation"]["boundary"] is True
         assert statics["sign_check"]["mode"] == "boundary"
 
@@ -323,7 +410,7 @@ class TestWhatif:
             ["whatif", "--input", str(market), "--shock-nu", "man=0", "--output", str(out)]
         )
         assert code == EXIT_OK
-        report = json.loads(out.read_text())
+        report = load_report(out.read_text())
         assert report["baseline"] == report["shocked"]
         assert report["delta"]["mu"] == [[0.0]]
 
@@ -331,10 +418,39 @@ class TestWhatif:
         market = write_market(tmp_path, SYMMETRIC_MARKET)
         out = tmp_path / "report.json"
         main(["whatif", "--input", str(market), "--shock-nu", "man=10", "--output", str(out)])
-        report = json.loads(out.read_text())
+        report = load_report(out.read_text())
         # more men: more single men, fewer single women
         assert report["delta"]["single_men"][0] > 0
         assert report["delta"]["single_women"][0] < 0
+
+    def test_shock_dropping_type(self, tmp_path):
+        # m1 loses all 120 members: it is unpopulated in the shocked market only.
+        text = """\
+[types.male]
+m1
+m2
+[types.female]
+f1
+f2
+[gains mode=Pi]
+1.0 0.5
+2.0 1.5
+[population]
+m1 120
+m2 80
+f1 90
+f2 110
+"""
+        market = write_market(tmp_path, text)
+        out = tmp_path / "report.json"
+        argv = ["whatif", "--input", str(market), "--shock-nu", "m1=-120", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        report = load_report(out.read_text())
+        assert report["baseline"]["beta"][0] > 0
+        assert report["shocked"]["beta"][0] is None
+        assert report["delta"]["beta"][0] is None
+        assert report["shocked"]["mu"][0] == [0.0, 0.0]
+        assert report["delta"]["single_men"][0] == -report["baseline"]["single_men"][0]
 
     def test_bad_shock_label(self, tmp_path):
         market = write_market(tmp_path, SYMMETRIC_MARKET)
@@ -357,7 +473,7 @@ class TestSimulate:
             ["simulate", "--input", str(market), "--seed", "3", "--samples", "1000",
              "--output", str(out)]
         )
-        report = json.loads(out.read_text())
+        report = load_report(out.read_text())
         assert report["simulation"]["seed"] == 3
         assert report["settings"]["seed"] == 3
 
@@ -377,7 +493,7 @@ class TestCheck:
         market = write_market(tmp_path, "\n".join(lines) + "\n")
         out = tmp_path / "report.json"
         code = main(["check", "--input", str(market), "--output", str(out)])
-        report = json.loads(out.read_text())
+        report = load_report(out.read_text())
         assert report["check"]["passed"], report["check"]
         assert code == EXIT_OK
 
@@ -399,7 +515,7 @@ class TestEstimateGains:
         estimated = tmp_path / "estimated.json"
         code = main(["estimate-gains", "--input", str(solved), "--output", str(estimated)])
         assert code == EXIT_OK
-        report = json.loads(estimated.read_text())
+        report = load_report(estimated.read_text())
         assert report["estimated_gains"]["Pi"][0][0] == pytest.approx(1.0, rel=1e-8)
         assert report["estimated_gains"]["pi"][0][0] == pytest.approx(0.0, abs=1e-8)
 
@@ -418,7 +534,7 @@ class TestEstimateGains:
         main(["solve", "--input", str(market), "--output", str(solved)])
         estimated = tmp_path / "estimated.json"
         main(["estimate-gains", "--input", str(solved), "--output", str(estimated)])
-        recovered = np.array(json.loads(estimated.read_text())["estimated_gains"]["Pi"])
+        recovered = np.array(load_report(estimated.read_text())["estimated_gains"]["Pi"])
         np.testing.assert_allclose(recovered, gains, rtol=1e-8)
 
     def test_rejects_non_report(self, tmp_path):

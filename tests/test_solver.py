@@ -309,30 +309,19 @@ class TestSolveStack:
 class TestReduceUnpopulated:
     def test_drops_zero_type(self):
         gains = GainsMatrix([[1.0], [2.0]])
-        market, index_map = reduce_unpopulated(gains, [4.0, 0.0, 1.0])
+        market = reduce_unpopulated(gains, [4.0, 0.0, 1.0])
         assert market.n_male_types == 1
         np.testing.assert_allclose(market.population.counts, [4.0, 1.0])
         np.testing.assert_allclose(market.gains.entries, [[1.0]])
-        assert index_map.kept_men == (0,)
+        assert market.gains.row_labels == ("m1",)
 
     def test_identity_reduction(self):
         gains = GainsMatrix([[1.0], [2.0]])
-        market, index_map = reduce_unpopulated(gains, [4.0, 2.0, 1.0])
-        assert index_map.identity
+        market = reduce_unpopulated(gains, [4.0, 2.0, 1.0])
+        assert market.gains.row_labels == gains.row_labels
+        assert market.gains.col_labels == gains.col_labels
         assert market.size == 3
 
     def test_all_unpopulated_is_error(self):
         with pytest.raises(ValueError, match="unpopulated"):
             reduce_unpopulated(GainsMatrix([[1.0], [2.0]]), [0.0, 0.0, 0.0])
-
-    def test_embedding_restores_shape(self):
-        gains = GainsMatrix([[1.0], [2.0]])
-        market, index_map = reduce_unpopulated(gains, [4.0, 0.0, 1.0])
-        eq = solve(market)
-        full = index_map.embed_distribution(eq.distribution)
-        assert full.married.shape == (2, 1)
-        assert full.married[1, 0] == 0.0
-        assert full.single_men[1] == 0.0
-        beta = index_map.embed_amplitudes(eq.beta)
-        assert np.isnan(beta[1])
-        np.testing.assert_allclose(beta[[0, 2]], eq.beta)
