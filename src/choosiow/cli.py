@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: solve, statics, transfers, whatif, simulate, check, and
-estimate-gains.  Markets are read from the structured market file (or a
-CSV table pair); reports are emitted as JSON with full-precision numbers
-so they round-trip losslessly.
+estimate-gains.  The six market commands share one handler, cmd_market: it
+loads the market (MarketFile validates it, and the whatif shocks are applied
+before any solve), solves once, writes the input, settings and equilibrium
+blocks, and adds the command's own blocks.  Markets are read from the
+structured market file (or a CSV table pair); reports are emitted as JSON
+with full-precision numbers so they round-trip losslessly.
 
 Exit codes: 0 success, 1 input error, 2 solver non-convergence,
 3 invariant-check failure.
@@ -75,10 +78,6 @@ def _load_market(args) -> MarketFile:
             args.gains_csv, args.populations_csv, gains_mode=args.gains_mode or "Pi"
         )
     raise ParseError("no input given: use --input or --gains-csv with --populations-csv")
-
-
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(gradient_tolerance=args.tolerance, max_iterations=args.max_iter)
 
 
 def _input_block(mf: MarketFile) -> dict:
@@ -179,18 +178,6 @@ def _transfer_block(report: StaticsReport, mf: MarketFile) -> dict:
     return block
 
 
-def _base_report(mf: MarketFile, args, extra_settings: dict | None = None) -> dict:
-    settings = {"tolerance": args.tolerance, "max_iterations": args.max_iter}
-    if extra_settings:
-        settings.update(extra_settings)
-    return {
-        "format_version": FORMAT_VERSION,
-        "tool_version": __version__,
-        "input": _input_block(mf),
-        "settings": settings,
-    }
-
-
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2)
     if args.output:
@@ -199,29 +186,12 @@ def _emit(report: dict, args) -> None:
         print(text)
 
 
-def _solve_market(mf: MarketFile, args) -> Equilibrium:
-    return solve(mf.to_market(), _solver_options(args))
-
-
-def cmd_report(args) -> int:
-    """solve, statics and transfers: the equilibrium plus the command's own block."""
-    mf = _load_market(args)
-    eq = _solve_market(mf, args)
-    report = _base_report(mf, args)
-    report["equilibrium"] = _equilibrium_block(eq, mf)
-    if args.command == "statics":
-        report["statics"] = _statics_blocks(statics_matrix(eq))
-    elif args.command == "transfers":
-        report["transfers"] = _transfer_block(statics_matrix(eq), mf)
-    _emit(report, args)
-    return EXIT_OK
-
-
-def _parse_shocks(args, mf: MarketFile) -> tuple[np.ndarray, np.ndarray]:
+def _shocked(mf: MarketFile, args) -> MarketFile:
+    """The whatif market: mf with the --shock-nu and --shock-pi deltas added, in Pi mode."""
     populations = mf.populations.copy()
     gains = mf.pi_matrix.copy()
     labels = list(mf.male_types) + list(mf.female_types)
-    for spec in args.shock_nu or []:
+    for spec in args.shock_nu:
         try:
             label, delta = spec.split("=", 1)
             delta = float(delta)
@@ -230,7 +200,7 @@ def _parse_shocks(args, mf: MarketFile) -> tuple[np.ndarray, np.ndarray]:
         if label not in labels:
             raise ParseError(f"--shock-nu label {label!r} is not a declared type")
         populations[labels.index(label)] += delta
-    for spec in args.shock_pi or []:
+    for spec in args.shock_pi:
         try:
             address, delta = spec.split("=", 1)
             row, col = address.split(",")
@@ -240,86 +210,77 @@ def _parse_shocks(args, mf: MarketFile) -> tuple[np.ndarray, np.ndarray]:
         if row not in mf.male_types or col not in mf.female_types:
             raise ParseError(f"--shock-pi address {address!r} names unknown types")
         gains[mf.male_types.index(row), mf.female_types.index(col)] += delta
-    if np.any(gains < 0):
-        raise ParseError("a gains shock drove an entry negative")
-    if np.any(populations < 0):
-        raise ParseError("a population shock drove a count negative")
-    return populations, gains
+    # MarketFile re-validates: a shock that drives an entry negative is an input error.
+    return dataclasses.replace(mf, gains_mode="Pi", gains=gains, populations=populations)
 
 
-def cmd_whatif(args) -> int:
+def cmd_market(args) -> int:
+    """The six market commands: solve once, then add the command's own blocks."""
     mf = _load_market(args)
-    populations, gains = _parse_shocks(args, mf)
-    shocked_mf = dataclasses.replace(mf, gains_mode="Pi", gains=gains, populations=populations)
-    base = _solve_market(mf, args)
-    shocked = _solve_market(shocked_mf, args)
-    report = _base_report(
-        mf,
-        args,
-        {"shock_nu": args.shock_nu or [], "shock_pi": args.shock_pi or []},
-    )
-    report["baseline"] = _equilibrium_block(base, mf)
-    report["shocked"] = _equilibrium_block(shocked, shocked_mf)
-    # NaN (a type unpopulated on either side) stays NaN and is written as null.
-    before, after = _embedded(base, mf), _embedded(shocked, shocked_mf)
-    report["delta"] = {
-        key: _listify(after[key] - before[key])
-        for key in ("beta", "mu", "single_men", "single_women")
+    shocked_mf = _shocked(mf, args) if args.command == "whatif" else None
+    opts = SolverOptions(gradient_tolerance=args.tolerance, max_iterations=args.max_iter)
+    eq = solve(mf.to_market(), opts)
+    settings = {"tolerance": args.tolerance, "max_iterations": args.max_iter}
+    report = {
+        "format_version": FORMAT_VERSION,
+        "tool_version": __version__,
+        "input": _input_block(mf),
+        "settings": settings,
+        "baseline" if args.command == "whatif" else "equilibrium": _equilibrium_block(eq, mf),
     }
+    code = EXIT_OK
+    if args.command == "statics":
+        report["statics"] = _statics_blocks(statics_matrix(eq))
+    elif args.command == "transfers":
+        report["transfers"] = _transfer_block(statics_matrix(eq), mf)
+    elif args.command == "whatif":
+        settings.update(shock_nu=args.shock_nu, shock_pi=args.shock_pi)
+        shocked = solve(shocked_mf.to_market(), opts)
+        report["shocked"] = _equilibrium_block(shocked, shocked_mf)
+        # NaN (a type unpopulated on either side) stays NaN and is written as null.
+        before, after = _embedded(eq, mf), _embedded(shocked, shocked_mf)
+        report["delta"] = {
+            key: _listify(after[key] - before[key])
+            for key in ("beta", "mu", "single_men", "single_women")
+        }
+    elif args.command == "simulate":
+        settings.update(seed=args.seed, samples=args.samples)
+        record = equilibrium_consistency(eq, args.samples, np.random.default_rng(args.seed))
+        report["simulation"] = {
+            "male_divergence": _listify(record.male_divergence),
+            "female_divergence": _listify(record.female_divergence),
+            "max_divergence": record.max_divergence,
+            "sample_count": record.sample_count,
+            "seed": args.seed,
+        }
+    elif args.command == "check":
+        settings.update(fd_step=args.fd_step, fd_tolerance=args.fd_tolerance)
+        statics = statics_matrix(eq)
+        fd = finite_difference_check(statics, step=args.fd_step, opts=opts)
+        checks = {
+            "clearing": eq.distribution.clears(eq.market.population),
+            "sign_pattern": statics.sign_check.passed,
+            "spectral": statics.spectral_pass,
+            "finite_difference": fd.max_error <= args.fd_tolerance,
+        }
+        report["check"] = {
+            **checks,
+            "sign_check_mode": statics.sign_check.mode,
+            "sign_check_failures": list(statics.sign_check.failures),
+            "spectral_radius": statics.spectral_radius,
+            "finite_difference_errors": {
+                "substitution": fd.substitution_error,
+                "gains": fd.gains_error,
+                "marriage": fd.marriage_error,
+                "transfer": fd.transfer_error,
+                "participation": fd.participation_error,
+            },
+            "passed": all(checks.values()),
+        }
+        if not report["check"]["passed"]:
+            code = EXIT_CHECK_FAILED
     _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_simulate(args) -> int:
-    mf = _load_market(args)
-    eq = _solve_market(mf, args)
-    rng = np.random.default_rng(args.seed)
-    record = equilibrium_consistency(eq, args.samples, rng)
-    report = _base_report(mf, args, {"seed": args.seed, "samples": args.samples})
-    report["equilibrium"] = _equilibrium_block(eq, mf)
-    report["simulation"] = {
-        "male_divergence": _listify(record.male_divergence),
-        "female_divergence": _listify(record.female_divergence),
-        "max_divergence": record.max_divergence,
-        "sample_count": record.sample_count,
-        "seed": args.seed,
-    }
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_check(args) -> int:
-    mf = _load_market(args)
-    eq = _solve_market(mf, args)
-    statics = statics_matrix(eq)
-    fd = finite_difference_check(statics, step=args.fd_step, opts=_solver_options(args))
-
-    checks = {
-        "clearing": eq.distribution.clears(eq.market.population),
-        "sign_pattern": statics.sign_check.passed,
-        "spectral": statics.spectral_pass,
-        "finite_difference": fd.max_error <= args.fd_tolerance,
-    }
-    report = _base_report(
-        mf, args, {"fd_step": args.fd_step, "fd_tolerance": args.fd_tolerance}
-    )
-    report["equilibrium"] = _equilibrium_block(eq, mf)
-    report["check"] = {
-        **checks,
-        "sign_check_mode": statics.sign_check.mode,
-        "sign_check_failures": list(statics.sign_check.failures),
-        "spectral_radius": statics.spectral_radius,
-        "finite_difference_errors": {
-            "substitution": fd.substitution_error,
-            "gains": fd.gains_error,
-            "marriage": fd.marriage_error,
-            "transfer": fd.transfer_error,
-            "participation": fd.participation_error,
-        },
-        "passed": all(checks.values()),
-    }
-    _emit(report, args)
-    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
+    return code
 
 
 def cmd_estimate_gains(args) -> int:
@@ -352,30 +313,34 @@ def cmd_estimate_gains(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than most parses."""
     parser = argparse.ArgumentParser(
         prog="choosiow",
         description="Solve marriage-matching markets and their comparative statics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, helptext in (
-        ("solve", cmd_report, "compute the equilibrium marriage distribution"),
-        ("statics", cmd_report, "equilibrium plus substitution matrix and sensitivities"),
-        ("transfers", cmd_report, "transfer index and derivatives (tau needs a [c] block)"),
-        ("whatif", cmd_whatif, "re-solve under population or gains shocks"),
-        ("simulate", cmd_simulate, "Monte Carlo consistency check of the choice model"),
-        ("check", cmd_check, "run the full invariant suite; nonzero exit on failure"),
+    for name, helptext in (
+        ("solve", "compute the equilibrium marriage distribution"),
+        ("statics", "equilibrium plus substitution matrix and sensitivities"),
+        ("transfers", "transfer index and derivatives (tau needs a [c] block)"),
+        ("whatif", "re-solve under population or gains shocks"),
+        ("simulate", "Monte Carlo consistency check of the choice model"),
+        ("check", "run the full invariant suite; nonzero exit on failure"),
     ):
         p = sub.add_parser(name, help=helptext)
         _add_input_flags(p)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=cmd_market)
 
     sub.choices["whatif"].add_argument(
-        "--shock-nu", action="append", metavar="LABEL=DELTA", help="population shock (repeatable)"
+        "--shock-nu", action="append", default=[], metavar="LABEL=DELTA",
+        help="population shock (repeatable)",
     )
     sub.choices["whatif"].add_argument(
-        "--shock-pi", action="append", metavar="ROW,COL=DELTA", help="gains shock (repeatable)"
+        "--shock-pi", action="append", default=[], metavar="ROW,COL=DELTA",
+        help="gains shock (repeatable)",
     )
     sub.choices["simulate"].add_argument("--seed", type=int, default=0)
     sub.choices["simulate"].add_argument("--samples", type=int, default=100_000)
@@ -392,14 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: building it costs more than most parses."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ParseError, ScalingError, ValueError, OSError) as exc:

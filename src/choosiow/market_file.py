@@ -66,7 +66,6 @@ class ParseError(ValueError):
 class MarketFile:
     """Parsed, dimension-checked market description (gains kept raw)."""
 
-    format_version: str
     male_types: tuple[str, ...]
     female_types: tuple[str, ...]
     gains_mode: str
@@ -86,7 +85,11 @@ class MarketFile:
                 f"gains block has shape {gains.shape}, expected ({n_men}, {n_women})"
             )
         if self.gains_mode == "Pi" and np.any(gains < 0):
-            raise ParseError("gains entries must be non-negative in Pi mode")
+            i, j = np.argwhere(gains < 0)[0]
+            raise ParseError(
+                f"gain {float(gains[i, j])!r} for ({self.male_types[i]}, {self.female_types[j]}): "
+                "gains entries must be non-negative in Pi mode"
+            )
         if self.gains_mode == "pi" and np.any(gains > MAX_LOG_GAIN):
             i, j = np.argwhere(gains > MAX_LOG_GAIN)[0]
             pair = f"({self.male_types[i]}, {self.female_types[j]})"
@@ -100,7 +103,12 @@ class MarketFile:
                 f"population block has {populations.size} entries, expected {n_men + n_women}"
             )
         if np.any(populations < 0):
-            raise ParseError("population counts must be non-negative")
+            k = np.flatnonzero(populations < 0)[0]
+            label = (self.male_types + self.female_types)[k]
+            raise ParseError(
+                f"count {float(populations[k])!r} for {label}: "
+                "population counts must be non-negative"
+            )
         if self.c_matrix is not None:
             c = np.asarray(self.c_matrix, dtype=float)
             if c.shape != (n_men, n_women):
@@ -160,7 +168,6 @@ def parse_market(path, gains_mode_override: str | None = None) -> MarketFile:
     path = Path(path)
     sections: dict[str, list[tuple[int, str]]] = {}
     section_attrs: dict[str, dict[str, str]] = {}
-    top_level: dict[str, str] = {}
     current: str | None = None
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -185,7 +192,11 @@ def parse_market(path, gains_mode_override: str | None = None) -> MarketFile:
             if "=" not in line:
                 raise ParseError(f"expected key = value before first section, got {line!r}", line_no)
             key, value = (part.strip() for part in line.split("=", 1))
-            top_level[key] = value
+            if key == "format_version" and value != FORMAT_VERSION:
+                raise ParseError(
+                    f"format_version {value!r} is not supported (expected {FORMAT_VERSION})",
+                    line_no,
+                )
         else:
             sections[current].append((line_no, line))
 
@@ -199,8 +210,6 @@ def parse_market(path, gains_mode_override: str | None = None) -> MarketFile:
     gains_mode = gains_mode_override or section_attrs["gains"].get("mode")
     if gains_mode is None:
         raise ParseError("gains section is missing its mode tag (mode=Pi or mode=pi)")
-    if gains_mode not in GAINS_MODES:
-        raise ParseError(f"unknown gains mode {gains_mode!r}")
     gains = _parse_matrix_rows(sections["gains"], "gains")
 
     expected_labels = male_types + female_types
@@ -229,7 +238,6 @@ def parse_market(path, gains_mode_override: str | None = None) -> MarketFile:
     c_matrix = _parse_matrix_rows(sections["c"], "c") if "c" in sections else None
 
     return MarketFile(
-        format_version=top_level.get("format_version", FORMAT_VERSION),
         male_types=male_types,
         female_types=female_types,
         gains_mode=gains_mode,
@@ -263,6 +271,11 @@ def parse_market_tables(
         if reader.fieldnames is None or {"side", "label", "count"} - set(reader.fieldnames):
             raise ParseError(f"{populations_path}: expected columns side,label,count")
         for row in reader:
+            missing = [key for key in ("side", "label", "count") if row[key] is None]
+            if missing:
+                raise ParseError(
+                    f"{populations_path}: line {reader.line_num} has no {missing[0]} cell"
+                )
             side, label = row["side"].strip(), row["label"].strip()
             if side not in declared:
                 raise ParseError(f"{populations_path}: unknown side {side!r}")
@@ -286,7 +299,6 @@ def parse_market_tables(
             populations.append(counts[side, label])
 
     return MarketFile(
-        format_version=FORMAT_VERSION,
         male_types=male_types,
         female_types=female_types,
         gains_mode=gains_mode,

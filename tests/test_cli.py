@@ -28,6 +28,23 @@ man 100
 woman 100
 """
 
+TWO_BY_TWO_MARKET = """\
+[types.male]
+m1
+m2
+[types.female]
+f1
+f2
+[gains mode=Pi]
+1.0 0.5
+2.0 1.5
+[population]
+m1 120
+m2 80
+f1 90
+f2 110
+"""
+
 
 def write_market(tmp_path, text, name="market.txt"):
     path = tmp_path / name
@@ -89,6 +106,11 @@ c 1
     def test_population_label_mismatch_reports_line(self, tmp_path):
         text = SYMMETRIC_MARKET.replace("man 100", "stranger 100")
         with pytest.raises(ParseError, match="line"):
+            parse_market(write_market(tmp_path, text))
+
+    def test_unsupported_format_version_rejected(self, tmp_path):
+        text = SYMMETRIC_MARKET.replace("format_version = 1", "format_version = 7")
+        with pytest.raises(ParseError, match="line 2: format_version '7' is not supported"):
             parse_market(write_market(tmp_path, text))
 
     def test_c_block(self, tmp_path):
@@ -170,10 +192,13 @@ class TestParseMarketTables:
         [
             ("male,m1,5", "pops.csv: duplicate male row for 'm1'"),
             ("female,fx,42", "pops.csv: female label 'fx' is not in the gains table"),
+            ("male,m2", "pops.csv: line 6 has no count cell"),
+            ("male", "pops.csv: line 6 has no label cell"),
         ],
     )
     def test_bad_population_row_rejected(self, tmp_path, capsys, extra_row, message):
-        # A second m1 row used to replace the first; an undeclared label was ignored.
+        # A second m1 row used to replace the first; an undeclared label was ignored;
+        # a row with a missing cell raised TypeError or AttributeError.
         gains = tmp_path / "gains.csv"
         gains.write_text(",f1,f2\nm1,1.0,2.0\nm2,0.5,1.5\n", encoding="utf-8")
         pops = tmp_path / "pops.csv"
@@ -233,6 +258,27 @@ class TestProcess:
             check=True,
         )
         assert done.stdout.strip() == "False"
+
+
+class TestReportLayout:
+    @pytest.mark.parametrize(
+        "command, flags, settings, blocks",
+        [
+            ("solve", [], [], ["equilibrium"]),
+            ("statics", [], [], ["equilibrium", "statics"]),
+            ("transfers", [], [], ["equilibrium", "transfers"]),
+            ("whatif", ["--shock-nu", "m1=10"], ["shock_nu", "shock_pi"],
+             ["baseline", "shocked", "delta"]),
+            ("simulate", ["--samples", "1000"], ["seed", "samples"], ["equilibrium", "simulation"]),
+            ("check", [], ["fd_step", "fd_tolerance"], ["equilibrium", "check"]),
+        ],
+    )
+    def test_key_order(self, tmp_path, capsys, command, flags, settings, blocks):
+        market = str(write_market(tmp_path, TWO_BY_TWO_MARKET))
+        assert main([command, "--input", market, *flags]) == EXIT_OK
+        report = load_report(capsys.readouterr().out)
+        assert list(report) == ["format_version", "tool_version", "input", "settings", *blocks]
+        assert list(report["settings"]) == ["tolerance", "max_iterations", *settings]
 
 
 class TestSolveCommand:
@@ -425,23 +471,7 @@ class TestWhatif:
 
     def test_shock_dropping_type(self, tmp_path):
         # m1 loses all 120 members: it is unpopulated in the shocked market only.
-        text = """\
-[types.male]
-m1
-m2
-[types.female]
-f1
-f2
-[gains mode=Pi]
-1.0 0.5
-2.0 1.5
-[population]
-m1 120
-m2 80
-f1 90
-f2 110
-"""
-        market = write_market(tmp_path, text)
+        market = write_market(tmp_path, TWO_BY_TWO_MARKET)
         out = tmp_path / "report.json"
         argv = ["whatif", "--input", str(market), "--shock-nu", "m1=-120", "--output", str(out)]
         assert main(argv) == EXIT_OK
@@ -455,6 +485,21 @@ f2 110
     def test_bad_shock_label(self, tmp_path):
         market = write_market(tmp_path, SYMMETRIC_MARKET)
         assert main(["whatif", "--input", str(market), "--shock-nu", "nobody=1"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "shock, message",
+        [
+            (["--shock-nu", "m1=-1000"], "count -880.0 for m1: population counts"),
+            (["--shock-pi", "m2,f1=-3"], "gain -1.0 for (m2, f1): gains entries"),
+        ],
+    )
+    def test_negative_shock_names_type(self, tmp_path, capsys, shock, message):
+        # The shocked file is validated like a parsed one, before any solve.
+        market = write_market(tmp_path, TWO_BY_TWO_MARKET)
+        assert main(["whatif", "--input", str(market), *shock]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestSimulate:
