@@ -123,6 +123,7 @@ def _equilibrium_block(eq: Equilibrium, mf: MarketFile) -> dict:
     block.update(
         residual_norm=eq.residual_norm,
         iterations=eq.iterations,
+        sweeps=eq.sweeps,
         objective_value=eq.objective_value,
     )
     if not mf.populated.all():

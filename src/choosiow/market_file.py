@@ -192,7 +192,9 @@ def parse_market(path, gains_mode_override: str | None = None) -> MarketFile:
             if "=" not in line:
                 raise ParseError(f"expected key = value before first section, got {line!r}", line_no)
             key, value = (part.strip() for part in line.split("=", 1))
-            if key == "format_version" and value != FORMAT_VERSION:
+            if key != "format_version":
+                raise ParseError(f"unknown top-level key {key!r}", line_no)
+            if value != FORMAT_VERSION:
                 raise ParseError(
                     f"format_version {value!r} is not supported (expected {FORMAT_VERSION})",
                     line_no,

@@ -1,13 +1,19 @@
 """Damped-Newton solver for the unique positive equilibrium.
 
 The equilibrium amplitudes are the unique minimizer of the smooth strictly
-convex function b -> H(b) - <nu, b> over log-amplitudes b.  The Hessian of
-H is available in closed form and is symmetric positive definite.  At
-each accepted point, core.objective_H gives the gradient and Hessian
-blocks.  The step solves the Newton system through the reduced matrix S
-of order min(I, J) (core.ReducedHessian), whose Cholesky factorisation
-checks positive definiteness, then backtracks (Armijo) on the exact
-decrease along the step, built from the same blocks; strict convexity
+convex function b -> H(b) - <nu, b> over log-amplitudes b.  A solve without
+a given start first runs IPFP sweeps (_sweep): each side in turn is set to
+the amplitudes that clear it against the other side's, at O(IJ) per sweep.
+When the sweeps bring the men's clearing residual down to SWEEP_HANDOFF,
+Newton starts from them; when they stall, reach SWEEP_CAP or leave the safe
+range, Newton starts from initial_guess instead, exactly as without sweeps.
+
+The Hessian of H is available in closed form and is symmetric positive
+definite.  At each accepted point, core.objective_H gives the gradient and
+Hessian blocks.  The step solves the Newton system through the reduced
+matrix S of order min(I, J) (core.ReducedHessian), whose Cholesky
+factorisation checks positive definiteness, then backtracks (Armijo) on the
+exact decrease along the step, built from the same blocks; strict convexity
 makes the iteration globally convergent.
 
 One loop (_solve_stack) runs this iteration on a stack of equal-shape
@@ -56,6 +62,14 @@ ARMIJO_CONSTANT = 1e-4
 # Cap on the Newton step in b-space; e^{2b} curvature explodes, so small
 # steps suffice even for extreme inputs.
 STEP_CAP = 10.0
+# IPFP sweeps hand off to Newton once the max scaled men's clearing residual
+# is at most SWEEP_HANDOFF.  They stall, and Newton starts from initial_guess,
+# when after MIN_SWEEPS sweeps the residual does not drop below
+# SWEEP_CONTRACTION times the previous sweep's, or after SWEEP_CAP sweeps.
+SWEEP_HANDOFF = 1e-6
+SWEEP_CONTRACTION = 0.9
+MIN_SWEEPS = 3
+SWEEP_CAP = 50
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,8 @@ class Equilibrium:
 
     beta and log_beta (beta = e^log_beta) are read-only arrays in
     [men | women] order.
+    sweeps counts the IPFP sweeps that gave Newton its start: 0 when Newton
+    started from initial_guess or from a start the caller gave.
     objective_value is the final H(b) - <nu, b>, i.e. minus the Legendre
     transform of H evaluated at nu: the starting value plus the exact
     decreases of the accepted steps, whose partial sums are objective_trace.
@@ -87,6 +103,7 @@ class Equilibrium:
     market: ValidatedMarket
     residual_norm: float
     iterations: int
+    sweeps: int
     objective_value: float
     objective_trace: tuple[float, ...] = ()
 
@@ -103,6 +120,9 @@ def solve(
 ) -> Equilibrium:
     """Find the unique positive equilibrium of a validated market.
 
+    Without a start, IPFP sweeps seed Newton when they reach SWEEP_HANDOFF;
+    when they stall, Newton starts from initial_guess, and the result is the
+    one solve(market, opts, start=initial_guess(market.population)) gives.
     Newton steps solve the SPD Hessian system through its reduced matrix,
     with Armijo backtracking on the exact decrease of the objective, which
     therefore decreases monotonically; the iteration stops once every
@@ -111,7 +131,13 @@ def solve(
     units of nu.  A start must have shape (I+J,).
     """
     nu = market.population.counts
-    b = initial_guess(market.population) if start is None else np.array(start, dtype=float)
+    sweeps = 0
+    if start is not None:
+        b = np.array(start, dtype=float)
+    elif (swept := _sweep(market.gains.entries, nu)) is not None:
+        b, sweeps = swept
+    else:
+        b = initial_guess(market.population)
     if b.shape != nu.shape:
         raise ValueError(f"start has shape {b.shape}, expected ({nu.size},)")
     stack = _solve_stack(market.gains.entries[None], nu[None], b[None], opts)
@@ -129,9 +155,42 @@ def solve(
         market=market,
         residual_norm=float(np.linalg.norm(stack.residual[0])),
         iterations=iterations,
+        sweeps=sweeps,
         objective_value=float(trace[-1]),
         objective_trace=tuple(trace.tolist()),
     )
+
+
+def _sweep(gains: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """IPFP from initial_guess: (log-amplitudes, sweeps) on hand-off, None on a stall.
+
+    A sweep sets each man's amplitude to the root of beta (beta + s) = m
+    with s = Pi beta_J, as 2m / (s + sqrt(s^2 + 4m)), which does not cancel
+    when s^2 >> 4m, then each woman's the same way.  The women then clear
+    exactly and the men's scaled residual |beta_i (beta_i + s_i) - m_i| / m_i
+    measures the distance to the equilibrium.  Sweeps that overflow or
+    underflow stall or give amplitudes outside the safe range, and numpy
+    warns of neither.
+    """
+    n_men = gains.shape[0]
+    men, women = nu[:n_men], nu[n_men:]
+    s = gains @ np.sqrt(women)
+    previous = np.inf
+    with np.errstate(all="ignore"):
+        for sweep in range(1, SWEEP_CAP + 1):
+            beta_men = 2.0 * men / (s + np.sqrt(s * s + 4.0 * men))
+            t = beta_men @ gains
+            beta_women = 2.0 * women / (t + np.sqrt(t * t + 4.0 * women))
+            s = gains @ beta_women
+            residual = (np.abs(beta_men * (beta_men + s) - men) / men).max()
+            if residual <= SWEEP_HANDOFF:
+                b = np.log(np.concatenate((beta_men, beta_women)))
+                # False for a zero or non-finite amplitude.
+                return (b, sweep) if np.abs(b).max() <= LOG_AMPLITUDE_BOUND else None
+            if sweep > MIN_SWEEPS and not residual <= SWEEP_CONTRACTION * previous:
+                return None
+            previous = residual
+    return None
 
 
 class _StackSolution(NamedTuple):

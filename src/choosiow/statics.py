@@ -146,43 +146,56 @@ def statics_matrix(eq: Equilibrium) -> StaticsReport:
 def _sign_check(
     r: np.ndarray, beta_sq: np.ndarray, nu: np.ndarray, n_men: int, n_women: int, boundary: bool
 ) -> SignCheckResult:
-    abs_r = np.abs(r)
-    slack = _STRICTNESS_SLACK * max(1.0, np.max(abs_r))
+    # max |r_kl|, without an (I+J)^2 copy for np.abs(r).
+    slack = _STRICTNESS_SLACK * max(1.0, r.max(), -r.min())
 
     def holds(lhs, rhs):
         """lhs < rhs, relaxed to lhs <= rhs + slack in boundary mode."""
         return lhs <= rhs + slack if boundary else lhs < rhs
 
+    # The index scans that name failing entries run only when a check fails.
     failures: list[str] = []
     cross = r[:n_men, n_men:]
-    cross_bad = ~holds(cross, 0.0)
-    for i, j in zip(*np.nonzero(cross_bad)):
-        failures.append(f"cross-sex entry r[{i},{n_men + j}] = {cross[i, j]:.6g} is not negative")
+    cross_ok = holds(cross, 0.0)
+    cross_negative = bool(cross_ok.all())
+    if not cross_negative:
+        for i, j in zip(*np.nonzero(~cross_ok)):
+            failures.append(f"cross-sex entry r[{i},{n_men + j}] = {cross[i, j]:.6g} is not negative")
 
-    # Same-sex blocks: (beta_k^2 + nu_k) r_kl / 2 must exceed the identity.
+    # Same-sex blocks: (beta_k^2 + nu_k) r_kl / 2 must exceed the identity,
+    # i.e. 1 on the diagonal and 0 off it.
     weight = 0.5 * (beta_sq + nu)
     diag_ok = True
     for block in (slice(0, n_men), slice(n_men, n_men + n_women)):
         sub = weight[block, None] * r[block, block]
-        bad = np.argwhere(~holds(np.eye(sub.shape[0]), sub))
-        diag_ok = diag_ok and bad.size == 0
-        for k, l in bad:
+        ok = holds(0.0, sub)
+        np.fill_diagonal(ok, holds(1.0, np.diagonal(sub)))
+        if ok.all():
+            continue
+        diag_ok = False
+        for k, l in np.argwhere(~ok):
             failures.append(
                 f"same-sex bound fails at block entry ({block.start + k},{block.start + l}): "
                 f"{sub[k, l]:.6g}"
             )
 
     # Off the diagonal |r_kl| < sqrt(r_kk r_ll); the diagonal bound is inf.
+    # |r| < bound is r < bound and r > -bound, negation being exact.
     d = np.diag(r)
-    bound = np.sqrt(np.outer(d, d))
+    bound = np.outer(d, d)
+    np.sqrt(bound, out=bound)
     np.fill_diagonal(bound, np.inf)
-    cs_ok = bool(np.all(holds(abs_r, bound)))
+    if boundary:
+        bound += slack
+        cs_ok = bool((r <= bound).all()) and bool((r >= np.negative(bound, out=bound)).all())
+    else:
+        cs_ok = bool((r < bound).all()) and bool((r > np.negative(bound, out=bound)).all())
     if not cs_ok:
         failures.append("Cauchy-Schwarz bound |r_kl| < sqrt(r_kk r_ll) violated")
 
     return SignCheckResult(
         mode="boundary" if boundary else "strict",
-        cross_negative=not cross_bad.any(),
+        cross_negative=cross_negative,
         diagonal_dominant=diag_ok,
         cauchy_schwarz=cs_ok,
         failures=tuple(failures),

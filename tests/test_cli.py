@@ -113,6 +113,18 @@ c 1
         with pytest.raises(ParseError, match="line 2: format_version '7' is not supported"):
             parse_market(write_market(tmp_path, text))
 
+    @pytest.mark.parametrize("line", ["fromat_version = 7", "fromat_version = 1", "gains = 2"])
+    def test_unknown_top_level_key_rejected(self, tmp_path, capsys, line):
+        # A misspelt format_version used to pass silently, whatever its value.
+        market = write_market(tmp_path, SYMMETRIC_MARKET.replace("format_version = 1", line))
+        key = line.split()[0]
+        with pytest.raises(ParseError, match=f"line 2: unknown top-level key '{key}'"):
+            parse_market(market)
+        assert main(["solve", "--input", str(market)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+
     def test_c_block(self, tmp_path):
         text = SYMMETRIC_MARKET + "[c]\n0.5\n"
         mf = parse_market(write_market(tmp_path, text))
@@ -279,6 +291,16 @@ class TestReportLayout:
         report = load_report(capsys.readouterr().out)
         assert list(report) == ["format_version", "tool_version", "input", "settings", *blocks]
         assert list(report["settings"]) == ["tolerance", "max_iterations", *settings]
+
+    def test_equilibrium_block_keys(self, tmp_path, capsys):
+        market = str(write_market(tmp_path, TWO_BY_TWO_MARKET))
+        assert main(["solve", "--input", market]) == EXIT_OK
+        block = load_report(capsys.readouterr().out)["equilibrium"]
+        assert list(block) == [
+            "beta", "log_beta", "mu", "single_men", "single_women",
+            "residual_norm", "iterations", "sweeps", "objective_value",
+        ]
+        assert block["sweeps"] > 0
 
 
 class TestSolveCommand:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from choosiow import (
     solve,
 )
 from choosiow.core import LOG_AMPLITUDE_BOUND, objective_H
-from choosiow.solver import _decrease, _solve_stack, initial_guess
+from choosiow.solver import _decrease, _solve_stack, _sweep, initial_guess
 from conftest import make_market, random_market
 
 
@@ -201,6 +202,81 @@ class TestSolve:
         # fractional cap is never equal to the iteration count.
         with pytest.raises(ValueError):
             SolverOptions(**options)
+
+
+def _outcome(market, **kwargs):
+    """What solve ends with: the equilibrium's arrays and counts, or the error."""
+    try:
+        eq = solve(market, **kwargs)
+    except ConvergenceError as exc:
+        return str(exc), exc.log_beta.tolist(), exc.residual_norm
+    return eq.log_beta.tolist(), eq.iterations, eq.objective_trace
+
+
+class TestSweeps:
+    def test_stalled_sweeps_fall_back_bit_for_bit(self):
+        # At Pi = 1e15 the sweeps stop contracting; Newton then starts from
+        # initial_guess and follows the cold solve's iterates exactly.
+        market = make_market([[1e15]], [1.0, 1.0])
+        assert _sweep(market.gains.entries, market.population.counts) is None
+        eq = solve(market)
+        cold = solve(market, start=initial_guess(market.population))
+        assert eq.sweeps == cold.sweeps == 0
+        np.testing.assert_array_equal(eq.log_beta, cold.log_beta)
+        assert eq.iterations == cold.iterations
+        assert eq.objective_trace == cold.objective_trace
+
+    @pytest.mark.parametrize("gain", [1e16, 1e150])
+    def test_unfactorable_1x1_still_raises(self, gain):
+        market = make_market([[gain]], [1.0, 1.0])
+        with pytest.raises(ConvergenceError, match="^Hessian factorization failed at iteration 1$"):
+            solve(market)
+
+    def test_extreme_2x2_solves_from_sweeps(self):
+        # The cold start cannot factor the Hessian; the swept start is close
+        # enough for Newton.  Each man marries his diagonal partner, so the
+        # singles are f_i - m_i for the women and m_i^2 / ((f_i - m_i) Pi_ii^2)
+        # for the men.
+        market = make_market([[1e100, 1.0], [2.0, 1e80]], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ConvergenceError, match="Hessian factorization failed at iteration 1"):
+            solve(market, start=initial_guess(market.population))
+        eq = solve(market)
+        assert eq.sweeps > 0
+        singles = np.concatenate([eq.distribution.single_men, eq.distribution.single_women])
+        np.testing.assert_allclose(singles, [5e-201, 2e-160, 2.0, 2.0], rtol=1e-6)
+
+    def test_overflowing_sweeps_fall_back_silently(self):
+        # Pi = 1e300 overflows s^2 and drives a man's amplitude to 0: the
+        # sweeps give up without a numpy warning, and solve ends as the cold
+        # solve does.
+        market = make_market([[1e-300, 1e300]], [1.0, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _sweep(market.gains.entries, market.population.counts) is None
+        # The failing member's residual norm overflows inside numpy.linalg.
+        with np.errstate(over="ignore"):
+            cold = _outcome(market, start=initial_guess(market.population))
+            assert _outcome(market) == cold
+
+    def test_agrees_with_cold_start(self):
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            market = random_market(rng)
+            eq = solve(market)
+            cold = solve(market, start=initial_guess(market.population))
+            assert eq.distribution.clears(market.population)
+            assert cold.distribution.clears(market.population)
+            np.testing.assert_allclose(eq.log_beta, cold.log_beta, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(40, 300), (300, 40)])
+    def test_large_lopsided_needs_few_newton_steps(self, shape):
+        # Gains U(0, 5) and populations log-uniform on [1, 1e6].
+        rng = np.random.default_rng(45)
+        gains = rng.uniform(0.0, 5.0, size=shape)
+        market = make_market(gains, np.exp(rng.uniform(0.0, np.log(1e6), size=sum(shape))))
+        eq = solve(market)
+        assert eq.sweeps > 0
+        assert eq.iterations <= 2
 
 
 def _stack(markets, starts):
